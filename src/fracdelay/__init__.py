@@ -20,7 +20,6 @@ from .errors import (
     NewtonError,
     NonContractionError,
     PoleError,
-    QuadratureError,
     SeriesConvergenceError,
     ValidationError,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "NewtonError",
     "NonContractionError",
     "PoleError",
-    "QuadratureError",
     "SeriesConvergenceError",
     "ValidationError",
     "ShiftedPolynomial",

@@ -90,8 +90,8 @@ def _real(node: dict, key: str, where: str, default=_MISSING) -> float:
             raise ValidationError(f"{where}.{key} is required")
         return default
     v = node[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{where}.{key} must be a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValidationError(f"{where}.{key} must be a finite number")
     return float(v)
 
 
@@ -124,9 +124,9 @@ def _real_list(node: dict, key: str, where: str, default=_MISSING) -> list[float
         return default
     v = node[key]
     if not isinstance(v, list) or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in v
+        isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x) for x in v
     ):
-        raise ValidationError(f"{where}.{key} must be an array of numbers")
+        raise ValidationError(f"{where}.{key} must be an array of finite numbers")
     return [float(x) for x in v]
 
 
@@ -150,8 +150,8 @@ def _datum(node: dict, key: str, where: str) -> float | None:
     v = node.get(key, 0.0)
     if v == "auto":
         return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f'{where}.{key} must be a number or "auto"')
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValidationError(f'{where}.{key} must be a finite number or "auto"')
     return float(v)
 
 
@@ -214,7 +214,6 @@ def _parse_numerics(cfg: dict) -> dict:
     _reject_unknown(
         node,
         {
-            "quad_tol",
             "grid_divisor",
             "picard_tol",
             "omega_margin",
@@ -224,13 +223,14 @@ def _parse_numerics(cfg: dict) -> dict:
         },
         "numerics",
     )
-    omega = _real(node, "omega", "numerics", 0.0)
+    omega = _real(node, "omega", "numerics", None)
+    if omega is not None and not omega > 0:
+        raise ValidationError("numerics.omega must be positive (omit it for the automatic weight)")
     return {
-        "quad_tol": _real(node, "quad_tol", "numerics", 1e-10),
         "grid_divisor": _integer(node, "grid_divisor", "numerics", 128),
         "picard_tol": _real(node, "picard_tol", "numerics", 1e-8),
         "omega_margin": _real(node, "omega_margin", "numerics", 2.0),
-        "omega": omega if omega > 0 else None,
+        "omega": omega,
         "max_iter": _integer(node, "max_iter", "numerics", 100),
         "series": _parse_series(node.get("series")),
     }
@@ -373,7 +373,7 @@ def _solve_closed(spec: ProblemSpec, num: dict, method: str):
     if method == "linear":
         if spec.rhs.shape != "zero":
             raise ValidationError("method 'linear' requires rhs shape 'zero'")
-        trace = linear_solution(spec, grid, num["series"], num["quad_tol"])
+        trace = linear_solution(spec, grid, num["series"])
         summary = {"method": "linear", "q": 0.0, "omega": None, "iterations": 0, "final_delta": 0.0}
         return trace, summary
     trace, report = picard_solve(
@@ -384,7 +384,6 @@ def _solve_closed(spec: ProblemSpec, num: dict, method: str):
         margin=num["omega_margin"],
         omega=num["omega"],
         ctrl=num["series"],
-        quad_tol=num["quad_tol"],
     )
     summary = {
         "method": "picard",
@@ -450,8 +449,8 @@ def cmd_uh(cfg: dict, output: str | None, epsilon: float, gshape: str) -> int:
     spec = _parse_problem(cfg)
     num = _parse_numerics(cfg)
     out = _parse_output(cfg)
-    if epsilon < 0:
-        raise ValidationError("--epsilon must be nonnegative")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValidationError("--epsilon must be a finite nonnegative number")
     if gshape not in _GSHAPES:
         raise ValidationError(f"--gshape must be one of {', '.join(sorted(_GSHAPES))}")
     pert = PerturbationSpec(epsilon, _GSHAPES[gshape])
@@ -463,7 +462,6 @@ def cmd_uh(cfg: dict, output: str | None, epsilon: float, gshape: str) -> int:
         tol=num["picard_tol"],
         margin=num["omega_margin"],
         ctrl=num["series"],
-        quad_tol=num["quad_tol"],
     )
     summary = {
         "lhs": float(result.lhs),

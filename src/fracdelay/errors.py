@@ -27,10 +27,6 @@ class SeriesConvergenceError(ConvergenceError):
     """Series truncation rule did not fire within ``max_terms``."""
 
 
-class QuadratureError(ConvergenceError):
-    """Adaptive panel refinement hit the depth limit before converging."""
-
-
 class NonContractionError(ConvergenceError):
     """The fixed-point operator is not a contraction (q >= 1)."""
 

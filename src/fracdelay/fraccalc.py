@@ -97,26 +97,28 @@ class ShiftedPolynomial:
         return all(c == 0.0 for c in self.coeffs)
 
 
-def rl_derivative_power(a: float, nu: float, order: float, t: float) -> float:
+def rl_derivative_power(a: float, nu: float, order: float, t):
     """RL power rule: D^order (t-a)^nu = Gamma(nu+1)/Gamma(nu-order+1) (t-a)^{nu-order}.
 
     Uses the reciprocal-gamma convention, so the result is exactly 0 whenever
     nu - order + 1 is a nonpositive integer (e.g. D^alpha of (t-a)^{alpha-1}).
+    ``t`` may be a numpy array; the rule then applies elementwise.
     """
     if nu <= -1:
         raise ValidationError("rl_derivative_power requires nu > -1")
     if order < 0:
         raise ValidationError("rl_derivative_power requires order >= 0")
-    if t <= a:
+    if np.any(np.asarray(t) <= a):
         raise ValidationError("rl_derivative_power requires t > a")
     coef = gamma_fn(nu + 1.0) * recip_gamma(nu - order + 1.0)
     if coef == 0.0:
-        return 0.0
+        return 0.0 * t
     return coef * (t - a) ** (nu - order)
 
 
-def rl_derivative_poly(p: ShiftedPolynomial, order: float, t: float) -> float:
-    """Term-by-term RL derivative of a shifted polynomial at t > base."""
+def rl_derivative_poly(p: ShiftedPolynomial, order: float, t):
+    """Term-by-term RL derivative of a shifted polynomial at t > base (a
+    time or a numpy array of times)."""
     total = 0.0
     for m, c in enumerate(p.coeffs):
         if c != 0.0:

@@ -10,30 +10,28 @@ is solved by two delayed-ML kernels plus convolution integrals; the nonlinear
 f(t, y) case runs a Picard iteration that is a contraction in the weighted
 maximum norm ||y||_omega = max |y(t)| / E_{alpha,1}(omega t^alpha).
 
-Quadrature is composite 16-node Gauss-Legendre with mandatory panel splits at
-the kernel kinks s = t - k*h and at s = 0, then adaptive panel halving.
-Kernel values are memoized per (t - s) offset for the duration of one solve;
-the caches only ever store values of pure functions, so results do not depend
-on evaluation order or threading.
+Convolutions integral K(t - s) source(s) ds use one fixed product rule:
+16-node Gauss-Legendre on cells of width `step` laid back from s = t, so the
+kernel kinks s = t - k*h fall on cell edges whenever step divides h, with
+the cell at s = t, where the main kernel goes like (t - s)^{alpha-1}, graded
+geometrically into ROOT_LEVELS + 1 pieces.  On a solver grid the kernel
+offsets of a cell depend only on its lag behind the node, so the kernel is
+tabulated once per step (KernelCache.table) and the integrals at all nodes
+are 16 discrete convolutions plus one matrix-vector product for the graded
+cell (a Toeplitz sweep).  The history part of the homogeneous term is in
+closed form, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import (
-    IterationLimitError,
-    NonContractionError,
-    QuadratureError,
-    ValidationError,
-)
+from .errors import IterationLimitError, NonContractionError, ValidationError
 from .fraccalc import ShiftedPolynomial, UniformGrid, rl_derivative_poly
 from .specfun import (
     DEFAULT_CONTROL,
@@ -41,6 +39,7 @@ from .specfun import (
     delayed_ml_gen,
     delayed_ml_gen_many,
     gamma_fn,
+    recip_gamma,
     weight_ml,
 )
 
@@ -64,18 +63,33 @@ __all__ = [
     "solver_grid",
 ]
 
-DEFAULT_QUAD_TOL = 1e-10
-MAX_QUAD_DEPTH = 22
+# the cell at s = t is split at 2^-k of its width, k = 1..ROOT_LEVELS
+ROOT_LEVELS = 24
+# cells per delay h for a single time t, which brings no grid of its own
+POINT_DIVISOR = 8
 
 _GL_X, _GL_W = leggauss(16)
+# 16-node rule on [0, 1]
+_CELL_X = 0.5 * (_GL_X + 1.0)
+_CELL_W = 0.5 * _GL_W
 
-# shape name -> (value, derivative, sup |shape'|)
-_SHAPES: dict[str, tuple[Callable[[float], float], Callable[[float], float], float]] = {
-    "zero": (lambda y: 0.0, lambda y: 0.0, 0.0),
-    "identity": (lambda y: y, lambda y: 1.0, 1.0),
-    "sin": (math.sin, math.cos, 1.0),
-    "cos": (math.cos, lambda y: -math.sin(y), 1.0),
-    "tanh": (math.tanh, lambda y: 1.0 - math.tanh(y) ** 2, 1.0),
+
+def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+    edges = np.concatenate(([0.0], 2.0 ** -np.arange(ROOT_LEVELS, -1, -1.0)))
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    return (lo + width * _CELL_X).ravel(), (width * _CELL_W).ravel()
+
+
+# rule on [0, 1] for the cell whose kernel offset u = t - s starts at 0
+_ROOT_X, _ROOT_W = _graded_rule()
+
+# shape name -> (value on floats, value on arrays, derivative, sup |shape'|)
+_SHAPES: dict[str, tuple[Callable, Callable, Callable[[float], float], float]] = {
+    "zero": (lambda y: 0.0, np.zeros_like, lambda y: 0.0, 0.0),
+    "identity": (lambda y: y, lambda y: y, lambda y: 1.0, 1.0),
+    "sin": (math.sin, np.sin, math.cos, 1.0),
+    "cos": (math.cos, np.cos, lambda y: -math.sin(y), 1.0),
+    "tanh": (math.tanh, np.tanh, lambda y: 1.0 - math.tanh(y) ** 2, 1.0),
 }
 
 
@@ -84,7 +98,8 @@ class RhsSpec:
     """Nonlinearity family f(t, y) = poly_part(t) + kappa * shape(y).
 
     The global Lipschitz constant in y is exact: |kappa| for the bounded-slope
-    shapes, 0 for shape "zero".
+    shapes, 0 for shape "zero".  Evaluation works on floats and, elementwise,
+    on numpy arrays.
     """
 
     poly_part: ShiftedPolynomial = ShiftedPolynomial(0.0, ())
@@ -96,19 +111,23 @@ class RhsSpec:
             raise ValidationError(
                 f"unknown rhs shape {self.shape!r}; choose from {sorted(_SHAPES)}"
             )
+        if not all(math.isfinite(x) for x in (self.kappa, *self.poly_part.coeffs)):
+            raise ValidationError("rhs kappa and polynomial coefficients must be finite")
 
     @property
     def lipschitz(self) -> float:
-        return abs(self.kappa) * _SHAPES[self.shape][2]
+        return abs(self.kappa) * _SHAPES[self.shape][3]
 
-    def __call__(self, t: float, y: float) -> float:
-        return self.poly_part(t) + self.kappa * _SHAPES[self.shape][0](y)
+    def __call__(self, t, y):
+        return self.poly_part(t) + self.kappa * self.shape_of(y)
 
     def dfdy(self, y: float) -> float:
-        return self.kappa * _SHAPES[self.shape][1](y)
+        return self.kappa * _SHAPES[self.shape][2](y)
 
-    def shape_of(self, y: float) -> float:
-        return _SHAPES[self.shape][0](y)
+    def shape_of(self, y):
+        # the oracle calls this once per Newton step: keep the float path lean
+        entry = _SHAPES[self.shape]
+        return entry[1](y) if type(y) is np.ndarray else entry[0](y)
 
 
 @dataclass(frozen=True)
@@ -127,6 +146,9 @@ class ProblemSpec:
     rhs: RhsSpec = RhsSpec()
 
     def __post_init__(self) -> None:
+        numbers = (self.alpha, self.beta, self.lam, self.mu, self.h, self.l, self.c1, self.c2)
+        if not all(math.isfinite(x) for x in (*numbers, *self.phi.coeffs)):
+            raise ValidationError("problem parameters and history coefficients must be finite")
         if not (1.0 < self.alpha <= 2.0):
             raise ValidationError("alpha must lie in (1, 2]")
         if not (0.0 < self.beta < 1.0):
@@ -212,11 +234,12 @@ def kernel_companion(
 
 
 class KernelCache:
-    """Memoizes kernel values per (t - s) offset for one solve.
+    """Kernel values for the solves over one set of coefficients.
 
-    Misses are evaluated through the vectorized series in one batch per
-    request.  Values are pure functions of the offset, so concurrent fills
-    are benign: the worst case is a duplicate computation of the same number.
+    ``fetch_many`` evaluates a kernel at given offsets through the vectorized
+    series.  ``table`` keeps, per kernel and cell width, the kernel at the
+    offsets of the product rule, so every sweep of a solve, and every solve
+    that shares the cache on the same grid step, reads one table.
     """
 
     def __init__(
@@ -239,197 +262,233 @@ class KernelCache:
             "main": (spec.h, ab, spec.alpha, spec.alpha, spec.lam, spec.mu),
             "companion": (spec.h, ab, spec.alpha - 1.0, comp_gamma, spec.lam, spec.mu),
         }
-        self._values: dict[str, dict[float, float]] = {"main": {}, "companion": {}}
+        self._tables: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
-        table = self._values.get(kernel)
-        if table is None:
+        args = self._series_args.get(kernel)
+        if args is None:
             raise ValidationError("kernel must be 'main' or 'companion'")
-        us = np.asarray(us, dtype=float)
-        out = np.empty(us.shape)
-        missing: list[int] = []
-        flat = us.ravel()
-        res = out.ravel()
-        for i, u in enumerate(flat):
-            v = table.get(float(u))
-            if v is None:
-                missing.append(i)
-            else:
-                res[i] = v
-        if missing:
-            args = self._series_args[kernel]
-            vals = delayed_ml_gen_many(*args, flat[missing], self.ctrl)
-            for i, v in zip(missing, vals):
-                table[float(flat[i])] = float(v)
-                res[i] = v
-        return out
-
-    def main(self, u: float) -> float:
-        return float(self.fetch_many("main", np.array([u]))[0])
+        return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
 
     def companion(self, u: float) -> float:
-        return float(self.fetch_many("companion", np.array([u]))[0])
+        return float(self.fetch_many("companion", [u])[0])
+
+    def table(self, kernel: str, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel at the rule's offsets on lags 0..cells-1 of width ``step``.
+
+        Returns (root, rows): root[g] = K(_ROOT_X[g] * step) on the graded
+        cell and rows[d, q] = K((d + _CELL_X[q]) * step) for d >= 1; row 0,
+        the graded cell, is zero.
+        """
+        stored = self._tables.get((kernel, step))
+        if stored is None or len(stored[1]) < cells:
+            lags = np.arange(1, cells)[:, None] + _CELL_X
+            values = self.fetch_many(kernel, np.concatenate((_ROOT_X, lags.ravel())) * step)
+            rows = np.zeros((cells, _CELL_X.size))
+            rows[1:] = values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
+            stored = self._tables[(kernel, step)] = (values[: _ROOT_X.size], rows)
+        return stored[0], stored[1][:cells]
 
 
-def phi_source(spec: ProblemSpec, s: float) -> float:
-    """g(s) = D^alpha phi(s) - lam * D^beta phi(s), exact for polynomial phi."""
-    if not (-spec.h < s <= 0.0):
-        raise ValidationError("phi_source is defined on (-h, 0]")
+def _history_source(spec: ProblemSpec, s):
+    """g(s) = D^alpha phi(s) - lam * D^beta phi(s) for s > -h."""
     return rl_derivative_poly(spec.phi, spec.alpha, s) - spec.lam * rl_derivative_poly(
         spec.phi, spec.beta, s
     )
 
 
+def phi_source(spec: ProblemSpec, s):
+    """g(s) = D^alpha phi(s) - lam * D^beta phi(s), exact for polynomial phi.
+
+    ``s`` is a time or an array of times in (-h, 0].
+    """
+    s_arr = np.asarray(s, dtype=float)
+    if not np.all((s_arr > -spec.h) & (s_arr <= 0.0)):
+        raise ValidationError("phi_source is defined on (-h, 0]")
+    return _history_source(spec, s)
+
+
+def _history_closed_form(spec: ProblemSpec, u: np.ndarray, ctrl: SeriesControl | None) -> np.ndarray:
+    """integral_{-h}^{u-h} K1(u - h - s) g(s) ds at offsets u = t + h >= 0.
+
+    The term c_m (s+h)^m of phi gives g the powers (s+h)^{m-alpha} and
+    (s+h)^{m-beta}; with I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu} it
+    contributes c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](u), a = alpha - beta.
+    """
+    a = spec.alpha - spec.beta
+    total = np.zeros(u.shape)
+    for m, c in enumerate(spec.phi.coeffs):
+        if c == 0.0:
+            continue
+        terms = []
+        if recip_gamma(m + 1.0 - spec.alpha) != 0.0:
+            if m - spec.alpha <= -1.0:
+                raise ValidationError(
+                    f"history term c_{m} (t+h)^{m} makes D^alpha phi non-integrable at -h; "
+                    "the representation needs a history without it"
+                )
+            terms.append((m + 1.0, c))
+        if spec.lam != 0.0:
+            terms.append((a + m + 1.0, -spec.lam * c))
+        for b, coef in terms:
+            total += (coef * gamma_fn(m + 1.0)) * delayed_ml_gen_many(
+                spec.h, a, b, spec.alpha, spec.lam, spec.mu, u, ctrl
+            )
+    return total
+
+
+def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(np.asarray(source(s), dtype=float), s.shape)
+
+
+def _point_rule(ulo: float, uhi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets u = t - s and weights of the rule on [ulo, uhi]: cells
+    [d*step, (d+1)*step] clipped to the range, graded where one starts at 0."""
+    edges = np.arange(math.floor(ulo / step), math.ceil(uhi / step) + 1) * step
+    edges = np.clip(edges, ulo, uhi)
+    us, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if hi > lo:
+            x, w = (_ROOT_X, _ROOT_W) if lo == 0.0 else (_CELL_X, _CELL_W)
+            us.append(lo + (hi - lo) * x)
+            ws.append((hi - lo) * w)
+    return np.concatenate(us), np.concatenate(ws)
+
+
+def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
+    """The grid step if ts are consecutive nodes k*step (k >= 1) of a grid
+    whose step divides h, else None."""
+    if ts.size < 2 or not ts[-1] > ts[0]:
+        return None
+    m = round(spec.h * (ts.size - 1) / (ts[-1] - ts[0]))
+    if m < 1:
+        return None
+    step = spec.h / m
+    k = ts / step
+    ks = np.round(k)
+    if ks[0] < 1 or np.any(np.abs(k - ks) > 1e-9 * ks) or np.any(np.diff(ks) != 1.0):
+        return None
+    return step
+
+
+def _sweep(cache: KernelCache, kernel: str, source: Callable, ts: np.ndarray, step: float) -> np.ndarray:
+    """integral_0^t K(t - s) source(s) ds at the consecutive nodes ts = k*step."""
+    first = round(ts[0] / step)
+    n = first + ts.size - 1
+    root, rows = cache.table(kernel, step, n)
+    ends = np.arange(1, n + 1)[:, None]
+    # cell j = [j, j+1]*step holds its rule nodes at s = (j + 1 - x) * step,
+    # at kernel offset (d + x) * step from node j + 1 + d
+    f_cells = _sample(source, (ends - _CELL_X) * step)
+    f_root = _sample(source, (ends - _ROOT_X) * step)
+    lagged = sum(w * np.convolve(f_cells[:, q], rows[:, q])[:n] for q, w in enumerate(_CELL_W))
+    total = step * (lagged + f_root @ (_ROOT_W * root))
+    return total[first - 1 :]
+
+
 def convolve_kernel(
     spec: ProblemSpec,
     kernel: str,
-    source: Callable[[float], float],
-    u0: float,
-    u1: float,
-    t: float,
-    quad_tol: float = DEFAULT_QUAD_TOL,
+    source: Callable,
+    u0,
+    u1,
+    t,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-) -> float:
-    """integral_{u0}^{u1} kernel(t - s) * source(s) ds.
+):
+    """integral_{u0}^{u1} kernel(t - s) * source(s) ds by the module's product rule.
 
-    Panels are split at every kink s = t - k*h inside the range and at s = 0,
-    then halved adaptively until successive estimates differ by < quad_tol.
-    Kernel values come from the cache in one batch per panel.
+    ``source`` maps an array of times to values.  For one time t the cells
+    are h/POINT_DIVISOR wide.  For an array t (with u0 = 0 and u1 = t) of
+    consecutive grid nodes k*step, step dividing h, all nodes are done in one
+    Toeplitz sweep with cells one step wide; any other array is done one time
+    at a time.
     """
+    if cache is None:
+        cache = KernelCache(spec, ctrl)
+    if np.ndim(t):
+        ts = np.asarray(t, dtype=float)
+        if np.any(np.asarray(u0) != 0.0) or not np.array_equal(np.asarray(u1, dtype=float), ts):
+            raise ValidationError("convolve_kernel over an array of times needs u0 = 0, u1 = t")
+        step = _sweep_step(spec, ts)
+        if step is not None:
+            return _sweep(cache, kernel, source, ts, step)
+        return np.array([convolve_kernel(spec, kernel, source, 0.0, x, x, ctrl, cache) for x in ts])
     if u1 <= u0:
         if u1 < u0:
             raise ValidationError("convolve_kernel requires u0 <= u1")
         return 0.0
     if u1 > t + 1e-12:
         raise ValidationError("convolve_kernel requires u1 <= t")
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
+    us, ws = _point_rule(max(t - u1, 0.0), t - u0, spec.h / POINT_DIVISOR)
+    return float(np.dot(ws, cache.fetch_many(kernel, us) * _sample(source, t - us)))
 
-    def panel(lo: float, hi: float) -> float:
-        half = 0.5 * (hi - lo)
-        s = 0.5 * (lo + hi) + half * _GL_X
-        kv = cache.fetch_many(kernel, t - s)
-        sv = np.fromiter((source(x) for x in s), dtype=float, count=s.size)
-        return half * float(np.dot(_GL_W, kv * sv))
 
-    def adapt(lo: float, hi: float, whole: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        left = panel(lo, mid)
-        right = panel(mid, hi)
-        if abs(left + right - whole) < quad_tol:
-            return left + right
-        if depth >= MAX_QUAD_DEPTH:
-            raise QuadratureError(
-                f"quadrature panel [{lo}, {hi}] did not settle within depth {MAX_QUAD_DEPTH}"
-            )
-        return adapt(lo, mid, left, depth + 1) + adapt(mid, hi, right, depth + 1)
-
-    cuts = {u0, u1}
-    k = 0
-    while True:
-        s_kink = t - k * spec.h
-        if s_kink <= u0:
-            break
-        if s_kink < u1:
-            cuts.add(s_kink)
-        k += 1
-    if u0 < 0.0 < u1:
-        cuts.add(0.0)
-    edges = sorted(cuts)
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15 * max(1.0, abs(t)):
-            continue
-        total += adapt(lo, hi, panel(lo, hi), 0)
-    return total
+def _convolve_positive(spec, source, ts, ctrl, cache) -> np.ndarray:
+    """integral_0^t K1(t - s) source(s) ds at each t of ts, 0 where t <= 0."""
+    out = np.zeros(ts.shape)
+    pos = ts > 0.0
+    if pos.any():
+        out[pos] = convolve_kernel(spec, "main", source, 0.0, ts[pos], ts[pos], ctrl, cache)
+    return out
 
 
 def homogeneous_at(
     spec: ProblemSpec,
-    t: float,
+    t,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     cache: KernelCache | None = None,
     companion_mode: str = "corrected",
-) -> float:
-    """Homogeneous part of the representation at time t in [-h, T]:
+):
+    """Homogeneous part of the representation at times t in [-h, T]:
 
         c1 * K1(t+h) + c2 * K2(t+h) + integral_{-h}^{min(t,0)} K1(t-s) g(s) ds,
 
     with K1/K2 the main/companion kernels and g = phi_source.  The upper limit
-    min(t, 0) reflects that g is built from phi, which lives on [-h, 0].
+    min(t, 0) reflects that g is built from phi, which lives on [-h, 0]: the
+    integral is taken in closed form up to t, less its part over [0, t].
+    ``t`` is one time (float result) or an array of times (see
+    ``convolve_kernel`` for the arrays that are swept together).
     """
-    if not (-spec.h - 1e-12 <= t <= spec.T + 1e-12):
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < -spec.h - 1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     if cache is None:
         cache = KernelCache(spec, ctrl, companion_mode)
-    val = 0.0
+    u = np.maximum(ts + spec.h, 0.0)
+    val = _history_closed_form(spec, u, ctrl)
     if spec.c1 != 0.0:
-        val += spec.c1 * cache.main(t + spec.h)
+        val += spec.c1 * cache.fetch_many("main", u)
     if spec.c2 != 0.0:
-        val += spec.c2 * cache.companion(t + spec.h)
-    hi = min(t, 0.0)
-    if hi > -spec.h:
-        val += convolve_kernel(
-            spec,
-            "main",
-            lambda s: phi_source(spec, s),
-            -spec.h,
-            hi,
-            t,
-            quad_tol,
-            ctrl,
-            cache,
-        )
-    return val
+        val += spec.c2 * cache.fetch_many("companion", u)
+    val -= _convolve_positive(spec, lambda s: _history_source(spec, s), ts, ctrl, cache)
+    return float(val) if val.ndim == 0 else val
 
 
 def forced_at(
     spec: ProblemSpec,
-    forcing: Callable[[float], float],
-    t: float,
+    forcing: Callable,
+    t,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     cache: KernelCache | None = None,
-) -> float:
-    """Forced part integral_0^t K1(t-s) forcing(s) ds for t in [0, T]."""
-    if not (-1e-12 <= t <= spec.T + 1e-12):
+):
+    """Forced part integral_0^t K1(t-s) forcing(s) ds for t in [0, T].
+
+    ``forcing`` maps an array of times to values; ``t`` is one time (float
+    result) or an array of times, as for ``homogeneous_at``.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < -1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("forced_at requires t in [0, T]")
-    if t <= 0.0:
-        return 0.0
-    return convolve_kernel(spec, "main", forcing, 0.0, t, t, quad_tol, ctrl, cache)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("FRACDELAY_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"FRACDELAY_THREADS must be a positive integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError(f"FRACDELAY_THREADS must be a positive integer, got {raw!r}")
-    return n
-
-
-def _map_nodes(fn: Callable[[float], float], ts) -> list[float]:
-    """Deterministic map over grid nodes, optionally thread-parallel."""
-    n = _thread_count()
-    items = list(ts)
-    if n <= 1 or len(items) < 8:
-        return [fn(t) for t in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    out = _convolve_positive(spec, forcing, ts, ctrl, cache)
+    return float(out) if out.ndim == 0 else out
 
 
 def _representation_values(
     spec: ProblemSpec,
     grid: UniformGrid,
-    forcing: Callable[[float], float] | None,
+    forcing: Callable | None,
     ctrl: SeriesControl | None,
-    quad_tol: float,
     cache: KernelCache,
     companion_mode: str,
     homog: np.ndarray | None = None,
@@ -441,23 +500,13 @@ def _representation_values(
     ts = grid.nodes()
     pos = ts > 0.0
     if homog is None:
-        homog = np.array(
-            _map_nodes(
-                lambda t: homogeneous_at(spec, t, ctrl, quad_tol, cache, companion_mode),
-                ts[pos],
-            )
-        )
+        homog = homogeneous_at(spec, ts[pos], ctrl, cache, companion_mode)
     values = np.empty(grid.count)
     values[~pos] = spec.phi(ts[~pos])
     if forcing is None:
         values[pos] = homog
     else:
-        forced = np.array(
-            _map_nodes(
-                lambda t: forced_at(spec, forcing, t, ctrl, quad_tol, cache), ts[pos]
-            )
-        )
-        values[pos] = homog + forced
+        values[pos] = homog + forced_at(spec, forcing, ts[pos], ctrl, cache)
     return values, homog
 
 
@@ -465,7 +514,6 @@ def linear_solution(
     spec: ProblemSpec,
     grid: UniformGrid,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     cache: KernelCache | None = None,
     companion_mode: str = "corrected",
 ) -> SolutionTrace:
@@ -476,61 +524,44 @@ def linear_solution(
     if cache is None:
         cache = KernelCache(spec, ctrl, companion_mode)
     forcing = None if spec.rhs.poly_part.is_zero() else spec.rhs.poly_part
-    values, _ = _representation_values(
-        spec, grid, forcing, ctrl, quad_tol, cache, companion_mode
-    )
-    return SolutionTrace(grid, values, {"method": "linear", "quad_tol": quad_tol})
-
-
-def _interpolator(grid: UniformGrid, values: np.ndarray) -> Callable[[float], float]:
-    t0, step, n = grid.t_start, grid.step, grid.count
-
-    def at(s: float) -> float:
-        x = (s - t0) / step
-        i = int(x)
-        if i < 0:
-            i = 0
-        elif i > n - 2:
-            i = n - 2
-        frac = x - i
-        return values[i] * (1.0 - frac) + values[i + 1] * frac
-
-    return at
+    values, _ = _representation_values(spec, grid, forcing, ctrl, cache, companion_mode)
+    return SolutionTrace(grid, values, {"method": "linear"})
 
 
 def apply_F(
     spec: ProblemSpec,
     y: SolutionTrace,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     cache: KernelCache | None = None,
     companion_mode: str = "corrected",
     homog: np.ndarray | None = None,
-    extra_forcing: Callable[[float], float] | None = None,
+    extra_forcing: Callable | None = None,
 ) -> SolutionTrace:
     """One application of the fixed-point operator F.
 
     (F y)(t) keeps the history and homogeneous terms of the representation and
     convolves the main kernel with f(s, y(s)), where y(s) is the piecewise
-    linear interpolant of the input trace.
+    linear interpolant of the input trace.  ``extra_forcing`` maps an array
+    of times to values added to f.
     """
     _check_solver_grid(spec, y.grid)
     if cache is None:
         cache = KernelCache(spec, ctrl, companion_mode)
-    y_at = _interpolator(y.grid, y.values)
+    nodes = y.grid.nodes()
     rhs = spec.rhs
 
-    if extra_forcing is None:
-        def forcing(s: float) -> float:
-            return rhs(s, y_at(s))
-    else:
-        def forcing(s: float) -> float:
-            return rhs(s, y_at(s)) + extra_forcing(s)
+    def forcing(s: np.ndarray) -> np.ndarray:
+        f = rhs(s, np.interp(s, nodes, y.values))
+        return f if extra_forcing is None else f + extra_forcing(s)
 
     values, homog = _representation_values(
-        spec, y.grid, forcing, ctrl, quad_tol, cache, companion_mode, homog
+        spec, y.grid, forcing, ctrl, cache, companion_mode, homog
     )
-    return SolutionTrace(y.grid, values, {"method": "apply_F", "quad_tol": quad_tol})
+    return SolutionTrace(y.grid, values, {"method": "apply_F"})
+
+
+def _bielecki_weights(ts: np.ndarray, omega: float, alpha: float, ctrl) -> np.ndarray:
+    return np.array([weight_ml(alpha, omega, t, ctrl) for t in ts[ts >= 0.0]])
 
 
 def weighted_norm(
@@ -539,18 +570,27 @@ def weighted_norm(
     omega: float,
     alpha: float,
     ctrl: SeriesControl | None = None,
+    weights: np.ndarray | None = None,
 ) -> float:
-    """||y||_omega = max over nodes in [0, T] of |y(t)| / E_{alpha,1}(omega t^alpha)."""
+    """||y||_omega = max over nodes in [0, T] of |y(t)| / E_{alpha,1}(omega t^alpha).
+
+    ``weights`` are the weights at the nodes t >= 0 when the caller already
+    has them (``picard_solve`` computes them once per solve); by default
+    they are evaluated here.
+    """
     if omega <= 0:
         raise ValidationError("weighted_norm requires omega > 0")
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    best = 0.0
-    for t, v in zip(ts, values):
-        if t < 0.0:
-            continue
-        best = max(best, abs(v) / weight_ml(alpha, omega, t, ctrl))
-    return best
+    if weights is None:
+        weights = _bielecki_weights(ts, omega, alpha, ctrl)
+    return float(np.max(np.abs(values[ts >= 0.0]) / weights, initial=0.0))
+
+
+def _growth(spec: ProblemSpec) -> float:
+    """exp(|lam| T^{alpha-beta} + |mu| T^alpha), the kernels' growth bound on [0, T]."""
+    T = spec.T
+    return math.exp(abs(spec.lam) * T ** (spec.alpha - spec.beta) + abs(spec.mu) * T**spec.alpha)
 
 
 def contraction_factor(spec: ProblemSpec, L_f: float, omega: float) -> float:
@@ -559,9 +599,7 @@ def contraction_factor(spec: ProblemSpec, L_f: float, omega: float) -> float:
         raise ValidationError("contraction_factor requires omega > 0")
     if L_f < 0:
         raise ValidationError("contraction_factor requires L_f >= 0")
-    T = spec.T
-    grow = math.exp(abs(spec.lam) * T ** (spec.alpha - spec.beta) + abs(spec.mu) * T**spec.alpha)
-    return gamma_fn(spec.alpha) / omega * L_f * grow
+    return gamma_fn(spec.alpha) / omega * L_f * _growth(spec)
 
 
 def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
@@ -570,9 +608,7 @@ def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
         raise ValidationError("omega margin must exceed 1")
     if L_f <= 0:
         raise ValidationError("choose_omega requires L_f > 0")
-    T = spec.T
-    grow = math.exp(abs(spec.lam) * T ** (spec.alpha - spec.beta) + abs(spec.mu) * T**spec.alpha)
-    return margin * gamma_fn(spec.alpha) * L_f * grow
+    return margin * gamma_fn(spec.alpha) * L_f * _growth(spec)
 
 
 def picard_solve(
@@ -583,10 +619,9 @@ def picard_solve(
     margin: float = 2.0,
     omega: float | None = None,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = DEFAULT_QUAD_TOL,
     cache: KernelCache | None = None,
     companion_mode: str = "corrected",
-    extra_forcing: Callable[[float], float] | None = None,
+    extra_forcing: Callable | None = None,
 ) -> tuple[SolutionTrace, dict]:
     """Banach fixed-point iteration for the nonlinear problem.
 
@@ -598,8 +633,7 @@ def picard_solve(
     Returns the trace and a report with {iterations, final_delta, q, omega,
     deltas, ratios} (plus the sup-norm delta history).
     """
-    m = _check_solver_grid(spec, grid)
-    del m
+    _check_solver_grid(spec, grid)
     L_f = spec.rhs.lipschitz
     if omega is None:
         omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0
@@ -613,27 +647,23 @@ def picard_solve(
     rhs = spec.rhs
     shape0 = rhs.shape_of(0.0)
 
-    if extra_forcing is None:
-        def forcing0(s: float) -> float:
-            return rhs.poly_part(s) + rhs.kappa * shape0
-    else:
-        def forcing0(s: float) -> float:
-            return rhs.poly_part(s) + rhs.kappa * shape0 + extra_forcing(s)
+    def forcing0(s: np.ndarray) -> np.ndarray:
+        f = rhs.poly_part(s) + rhs.kappa * shape0
+        return f if extra_forcing is None else f + extra_forcing(s)
 
     values, homog = _representation_values(
-        spec, grid, forcing0, ctrl, quad_tol, cache, companion_mode
+        spec, grid, forcing0, ctrl, cache, companion_mode
     )
     y = SolutionTrace(grid, values)
     ts = grid.nodes()
+    weights = _bielecki_weights(ts, omega, spec.alpha, ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []
     deltas_sup: list[float] = []
     for iteration in range(1, max_iter + 1):
-        y_next = apply_F(
-            spec, y, ctrl, quad_tol, cache, companion_mode, homog, extra_forcing
-        )
+        y_next = apply_F(spec, y, ctrl, cache, companion_mode, homog, extra_forcing)
         diff = y_next.values - y.values
-        delta = weighted_norm(ts, diff, omega, spec.alpha, ctrl)
+        delta = weighted_norm(ts, diff, omega, spec.alpha, ctrl, weights)
         deltas.append(delta)
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next

@@ -21,6 +21,7 @@ from .repsolver import (
     KernelCache,
     ProblemSpec,
     SolutionTrace,
+    _growth,
     choose_omega,
     contraction_factor,
     picard_solve,
@@ -43,11 +44,14 @@ class PerturbationSpec:
     g_shape: Callable[[float], float]
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValidationError("epsilon must be finite and nonnegative")
 
-    def __call__(self, t: float) -> float:
-        return self.epsilon * self.g_shape(t)
+    def __call__(self, t):
+        """epsilon * g_shape(t); on an array, g_shape is applied elementwise."""
+        if np.ndim(t) == 0:
+            return self.epsilon * self.g_shape(t)
+        return self.epsilon * np.vectorize(self.g_shape, otypes=[float])(t)
 
 
 class UhResult(NamedTuple):
@@ -62,11 +66,7 @@ def uh_constant(spec: ProblemSpec, L_f: float, omega: float) -> float:
     q = contraction_factor(spec, L_f, omega)
     if q >= 1.0:
         raise NonContractionError(f"contraction factor q={q:.6g} >= 1")
-    T = spec.T
-    numer = T ** (spec.alpha - 1.0) * math.exp(
-        abs(spec.lam) * T ** (spec.alpha - spec.beta) + abs(spec.mu) * T**spec.alpha
-    )
-    return numer / (1.0 - q)
+    return spec.T ** (spec.alpha - 1.0) * _growth(spec) / (1.0 - q)
 
 
 def perturbed_solve(
@@ -76,14 +76,14 @@ def perturbed_solve(
     tol: float = 1e-8,
     margin: float = 2.0,
     ctrl: SeriesControl | None = None,
-    quad_tol: float = 1e-10,
     companion_mode: str = "corrected",
     cache: KernelCache | None = None,
 ) -> UhResult:
     """Solve the perturbed and exact problems and evaluate the UH inequality.
 
-    Both solves share one kernel cache and the same weight omega, so lhs and
-    rhs_bound refer to the same norm.
+    Both solves share one kernel cache, so the kernel table is evaluated
+    once, and the same weight omega, so lhs and rhs_bound refer to the same
+    norm.
     """
     ts = grid.nodes()
     g_samples = np.array([pert.g_shape(t) for t in ts[ts >= 0.0]])
@@ -100,7 +100,6 @@ def perturbed_solve(
         tol=tol,
         omega=omega,
         ctrl=ctrl,
-        quad_tol=quad_tol,
         cache=cache,
         companion_mode=companion_mode,
         extra_forcing=pert if pert.epsilon != 0.0 else None,
@@ -111,7 +110,6 @@ def perturbed_solve(
         tol=tol,
         omega=omega,
         ctrl=ctrl,
-        quad_tol=quad_tol,
         cache=cache,
         companion_mode=companion_mode,
     )

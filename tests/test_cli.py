@@ -90,6 +90,34 @@ def test_bad_problem_parameters(tmp_path):
     assert cli.main(["solve", "--config", cfg]) == 1
 
 
+def test_nan_lambda_rejected(tmp_path):
+    # json accepts NaN and Infinity; the config layer must not
+    prob = dict(SQUARE_PROBLEM, **{"lambda": math.nan})
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["solve", "--config", cfg]) == 1
+
+
+def test_infinite_mu_rejected(tmp_path):
+    prob = dict(SQUARE_PROBLEM, mu=math.inf)
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["solve", "--config", cfg]) == 1
+
+
+def test_nonpositive_omega_rejected(tmp_path):
+    # an explicit omega <= 0 is an error, not a request for the automatic one
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    cfg = write_config(
+        tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8, "omega": -3}}
+    )
+    assert cli.main(["solve", "--config", cfg, "--method", "picard"]) == 1
+
+
+def test_non_integrable_history_rejected(tmp_path):
+    prob = dict(SQUARE_PROBLEM, phi=[1.0, 0.0, 1.0])
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 1
+
+
 def test_usage_errors():
     # unknown subcommand and unknown flag are usage errors, not crashes
     assert cli.main(["frobnicate"]) == 1
@@ -484,6 +512,12 @@ def test_uh_bad_arguments(tmp_path):
     cfg = write_config(tmp_path, "uh.json", {"problem": ZERO_PROBLEM})
     assert cli.main(["uh", "--config", cfg, "--epsilon", "-1"]) == 1
     assert cli.main(["uh", "--config", cfg, "--epsilon", "0.1", "--gshape", "spiky"]) == 1
+
+
+def test_uh_nan_epsilon_rejected(tmp_path):
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    cfg = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["uh", "--config", cfg, "--epsilon", "nan"]) == 1
 
 
 def test_uh_small_epsilon_bound(tmp_path, capsys):

@@ -111,6 +111,9 @@ def test_problem_spec_horizon(spec6):
         {"l": 0},
         {"l": 1.5},
         {"phi": ShiftedPolynomial(0.0, (0.0, 0.0, 1.0))},  # wrong base
+        {"lam": math.nan},
+        {"mu": math.inf},
+        {"phi": ShiftedPolynomial(-1.0, (0.0, math.nan))},
     ],
 )
 def test_problem_spec_validation(overrides):
@@ -274,7 +277,7 @@ def test_kernel_cache_matches_direct(spec6):
     for u, v in zip(us, got):
         assert v == pytest.approx(kernel_main(spec6, float(u)), rel=1e-12)
     assert cache.companion(0.7) == pytest.approx(kernel_companion(spec6, 0.7), rel=1e-12)
-    # repeated offsets come back identical (memoized)
+    # repeated offsets come back identical
     assert got[0] == got[3]
 
 
@@ -562,11 +565,52 @@ def test_picard_iteration_limit(small_sin_spec):
 
 
 # ---------------------------------------------------------------------------
-# threading
+# determinism and values frozen from the adaptive-quadrature solver
 # ---------------------------------------------------------------------------
+
+# picard_solve of the README reference problem (sin forcing, kappa = 0.25)
+# on the grid h/8, tol 1e-8, from the per-node adaptive Gauss-Legendre solver
+# (panel tolerance 1e-10) that the kernel-table sweep replaced; 7 iterations
+SEED_PICARD_H8 = (
+    0.0, 0.015625, 0.0625,
+    0.140625, 0.25, 0.390625,
+    0.5625, 0.765625, 1.0,
+    1.1954334502487654, 1.3465417426284954, 1.4721480620649094,
+    1.5794579002067644, 1.6729535810326834, 1.7559596029041948,
+    1.8311974822713855, 1.9010333030151196, 1.9674650139259446,
+    2.0316138710440064, 2.0940902424033534, 2.155287252997056,
+    2.215457020273233, 2.27475611975605, 2.333277583056972,
+    2.391075043904663, 2.4481814892639133, 2.504621273810443,
+    2.560413655916706, 2.6155740531987, 2.670115084060963,
+    2.7240473361002677, 2.77737992901906, 2.830120966200802,
+)
+# linear_solution of the reference linear problem (spec6) on h/8, same solver
+SEED_LINEAR_H8 = (
+    0.0, 0.015625, 0.0625,
+    0.140625, 0.25, 0.390625,
+    0.5625, 0.765625, 1.0,
+    1.1899862796954854, 1.3297663514615068, 1.439909686664059,
+    1.5285420385813508, 1.6008439121278792, 1.660713468995075,
+    1.711358143286168, 1.7555629008832154, 1.7956817928579007,
+    1.8330957034968487, 1.8686115329068904, 1.902784396468246,
+    1.9360042370439916, 1.968547846892579, 2.0006152929000227,
+    2.0323571046679874, 2.0638951450843366, 2.095335927303381,
+    2.1267746374536, 2.1582966094418423, 2.1899785330796586,
+    2.221889361871803, 2.254091011751381, 2.2866389532562295,
+)
+# forced_at(spec6, cos(2s), t) at single times off any grid, same solver
+SEED_FORCED_COS2 = {
+    0.3: 0.09452930860850528,
+    1.0: 0.3665399027579623,
+    1.7: 0.15465441780976424,
+    2.55: -0.288165677940157,
+    3.0: -0.2291103173295364,
+}
 
 
 def test_threaded_solve_is_deterministic(spec6, monkeypatch):
+    # FRACDELAY_THREADS no longer selects anything: a solve with it set is
+    # bit-identical to one without
     grid = solver_grid(spec6, divisor=8)
     serial = linear_solution(spec6, grid)
     monkeypatch.setenv("FRACDELAY_THREADS", "2")
@@ -574,11 +618,76 @@ def test_threaded_solve_is_deterministic(spec6, monkeypatch):
     assert np.array_equal(serial.values, threaded.values)
 
 
-def test_bad_thread_count(spec6, monkeypatch):
-    grid = solver_grid(spec6, divisor=8)
-    monkeypatch.setenv("FRACDELAY_THREADS", "zero")
+def test_picard_matches_frozen_seed_values():
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    trace, report = picard_solve(spec, solver_grid(spec, divisor=8), tol=1e-8)
+    assert report["iterations"] == 7
+    assert np.max(np.abs(trace.values - np.array(SEED_PICARD_H8))) <= 1e-9
+
+
+def test_linear_solution_matches_frozen_seed_values(spec6):
+    trace = linear_solution(spec6, solver_grid(spec6, divisor=8))
+    assert np.max(np.abs(trace.values - np.array(SEED_LINEAR_H8))) <= 1e-9
+
+
+def test_forced_at_single_times_match_frozen_seed_values(spec6):
+    for t, expected in SEED_FORCED_COS2.items():
+        assert forced_at(spec6, lambda s: np.cos(2.0 * s), t) == pytest.approx(expected, abs=1e-9)
+
+
+@pytest.mark.parametrize("divisor", [8, 16])
+def test_single_times_match_grid_sweep(spec6, divisor):
+    # the point rule (cells h/8 wide) and the grid sweep (cells one step
+    # wide) are the same product rule; on h/8 they use the same cells
+    grid = solver_grid(spec6, divisor=divisor)
+    ts = grid.nodes()
+    pos = ts[ts > 0.0]
+    forcing = lambda s: np.cos(2.0 * s)  # noqa: E731
+    cache = KernelCache(spec6)
+    swept_f = forced_at(spec6, forcing, pos, cache=cache)
+    swept_h = homogeneous_at(spec6, pos, cache=cache)
+    single_f = np.array([forced_at(spec6, forcing, float(t), cache=cache) for t in pos])
+    single_h = np.array([homogeneous_at(spec6, float(t), cache=cache) for t in pos])
+    tol = 1e-13 if divisor == 8 else 1e-10
+    assert np.max(np.abs(swept_f - single_f)) <= tol
+    assert np.max(np.abs(swept_h - single_h)) <= tol
+
+
+def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
+    from fracdelay import repsolver
+
+    calls = []
+    original = repsolver.weight_ml
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(repsolver, "weight_ml", counting)
+    grid = solver_grid(small_sin_spec, divisor=8)
+    _, report = picard_solve(small_sin_spec, grid)
+    assert report["iterations"] > 1
+    assert len(calls) == int(np.count_nonzero(grid.nodes() >= 0.0))
+
+
+# ---------------------------------------------------------------------------
+# history that the representation cannot take
+# ---------------------------------------------------------------------------
+
+
+def test_non_integrable_history_source_rejected():
+    # a constant history term gives D^alpha phi ~ (t+h)^{-alpha}, which is not
+    # integrable at -h for alpha < 2
+    spec = make_spec(phi=ShiftedPolynomial(-1.0, (1.0, 0.0, 1.0)))
     with pytest.raises(ValidationError):
-        linear_solution(spec6, grid)
-    monkeypatch.setenv("FRACDELAY_THREADS", "0")
+        homogeneous_at(spec, 0.5)
     with pytest.raises(ValidationError):
-        linear_solution(spec6, grid)
+        linear_solution(spec, solver_grid(spec, divisor=8))
+
+
+def test_constant_history_allowed_at_alpha_two():
+    # at alpha = 2, 1/Gamma(1 - alpha) = 0: D^2 of a constant vanishes and the
+    # c2 datum carries the history
+    spec = make_spec(alpha=2.0, phi=ShiftedPolynomial(-1.0, (1.0,)), c2=1.0)
+    for t in (-0.75, -0.3, 0.0):
+        assert homogeneous_at(spec, t) == pytest.approx(1.0, abs=1e-12)
