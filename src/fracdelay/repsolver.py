@@ -203,11 +203,23 @@ def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> int:
     return m
 
 
+def _kernel_params(spec: ProblemSpec, kernel: str, literal: bool = False) -> tuple:
+    """Series parameters (h, a, b, gamma, lam, mu) of the main or companion kernel.
+
+    Both keep the step exponent gamma = alpha (the reading under which
+    D^{alpha-2} of the companion kernel tends to 1 at the base and the delay
+    recursion closes); ``literal`` gives the companion gamma = alpha-1.
+    """
+    if kernel not in ("main", "companion"):
+        raise ValidationError("kernel must be 'main' or 'companion'")
+    b = spec.alpha if kernel == "main" else spec.alpha - 1.0
+    gamma = spec.alpha - 1.0 if literal else spec.alpha
+    return (spec.h, spec.alpha - spec.beta, b, gamma, spec.lam, spec.mu)
+
+
 def kernel_main(spec: ProblemSpec, t: float, ctrl: SeriesControl | None = None) -> float:
     """Kernel E^{h,alpha}_{alpha-beta,alpha}(lam, mu; t) multiplying the c1 datum."""
-    return delayed_ml_gen(
-        spec.h, spec.alpha - spec.beta, spec.alpha, spec.alpha, spec.lam, spec.mu, t, ctrl
-    )
+    return delayed_ml_gen(*_kernel_params(spec, "main"), t, ctrl)
 
 
 def kernel_companion(
@@ -218,19 +230,12 @@ def kernel_companion(
 ) -> float:
     """Companion kernel multiplying the c2 datum: b-slot alpha-1.
 
-    ``mode="corrected"`` keeps the step exponent gamma = alpha (the reading
-    under which D^{alpha-2} of the kernel tends to 1 at the base and the delay
-    recursion closes); ``mode="literal"`` uses gamma = alpha-1 for comparison.
+    ``mode="corrected"`` is the kernel of the solver; ``mode="literal"`` uses
+    gamma = alpha-1 for comparison.
     """
-    if mode == "corrected":
-        gamma = spec.alpha
-    elif mode == "literal":
-        gamma = spec.alpha - 1.0
-    else:
+    if mode not in ("corrected", "literal"):
         raise ValidationError("companion mode must be 'corrected' or 'literal'")
-    return delayed_ml_gen(
-        spec.h, spec.alpha - spec.beta, spec.alpha - 1.0, gamma, spec.lam, spec.mu, t, ctrl
-    )
+    return delayed_ml_gen(*_kernel_params(spec, "companion", mode == "literal"), t, ctrl)
 
 
 class KernelCache:
@@ -242,36 +247,14 @@ class KernelCache:
     that shares the cache on the same grid step, reads one table.
     """
 
-    def __init__(
-        self,
-        spec: ProblemSpec,
-        ctrl: SeriesControl | None = None,
-        companion_mode: str = "corrected",
-    ) -> None:
+    def __init__(self, spec: ProblemSpec, ctrl: SeriesControl | None = None) -> None:
         self.spec = spec
         self.ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
-        self.companion_mode = companion_mode
-        if companion_mode == "corrected":
-            comp_gamma = spec.alpha
-        elif companion_mode == "literal":
-            comp_gamma = spec.alpha - 1.0
-        else:
-            raise ValidationError("companion mode must be 'corrected' or 'literal'")
-        ab = spec.alpha - spec.beta
-        self._series_args = {
-            "main": (spec.h, ab, spec.alpha, spec.alpha, spec.lam, spec.mu),
-            "companion": (spec.h, ab, spec.alpha - 1.0, comp_gamma, spec.lam, spec.mu),
-        }
         self._tables: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
-        args = self._series_args.get(kernel)
-        if args is None:
-            raise ValidationError("kernel must be 'main' or 'companion'")
+        args = _kernel_params(self.spec, kernel)
         return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
-
-    def companion(self, u: float) -> float:
-        return float(self.fetch_many("companion", [u])[0])
 
     def table(self, kernel: str, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
         """Kernel at the rule's offsets on lags 0..cells-1 of width ``step``.
@@ -315,7 +298,7 @@ def _history_closed_form(spec: ProblemSpec, u: np.ndarray, ctrl: SeriesControl |
     (s+h)^{m-beta}; with I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu} it
     contributes c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](u), a = alpha - beta.
     """
-    a = spec.alpha - spec.beta
+    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
     total = np.zeros(u.shape)
     for m, c in enumerate(spec.phi.coeffs):
         if c == 0.0:
@@ -328,11 +311,11 @@ def _history_closed_form(spec: ProblemSpec, u: np.ndarray, ctrl: SeriesControl |
                     "the representation needs a history without it"
                 )
             terms.append((m + 1.0, c))
-        if spec.lam != 0.0:
-            terms.append((a + m + 1.0, -spec.lam * c))
+        if lam != 0.0:
+            terms.append((a + m + 1.0, -lam * c))
         for b, coef in terms:
             total += (coef * gamma_fn(m + 1.0)) * delayed_ml_gen_many(
-                spec.h, a, b, spec.alpha, spec.lam, spec.mu, u, ctrl
+                h, a, b, gamma, lam, mu, u, ctrl
             )
     return total
 
@@ -438,7 +421,6 @@ def homogeneous_at(
     t,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    companion_mode: str = "corrected",
 ):
     """Homogeneous part of the representation at times t in [-h, T]:
 
@@ -454,7 +436,7 @@ def homogeneous_at(
     if np.any(ts < -spec.h - 1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     if cache is None:
-        cache = KernelCache(spec, ctrl, companion_mode)
+        cache = KernelCache(spec, ctrl)
     u = np.maximum(ts + spec.h, 0.0)
     val = _history_closed_form(spec, u, ctrl)
     if spec.c1 != 0.0:
@@ -490,7 +472,6 @@ def _representation_values(
     forcing: Callable | None,
     ctrl: SeriesControl | None,
     cache: KernelCache,
-    companion_mode: str,
     homog: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """History = phi exactly; positive nodes = homogeneous + forced parts.
@@ -500,7 +481,7 @@ def _representation_values(
     ts = grid.nodes()
     pos = ts > 0.0
     if homog is None:
-        homog = homogeneous_at(spec, ts[pos], ctrl, cache, companion_mode)
+        homog = homogeneous_at(spec, ts[pos], ctrl, cache)
     values = np.empty(grid.count)
     values[~pos] = spec.phi(ts[~pos])
     if forcing is None:
@@ -515,16 +496,15 @@ def linear_solution(
     grid: UniformGrid,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    companion_mode: str = "corrected",
 ) -> SolutionTrace:
     """Closed-form solution for rhs shape "zero" (forcing depends on t only)."""
     if spec.rhs.shape != "zero":
         raise ValidationError("linear_solution requires rhs shape 'zero'")
     _check_solver_grid(spec, grid)
     if cache is None:
-        cache = KernelCache(spec, ctrl, companion_mode)
+        cache = KernelCache(spec, ctrl)
     forcing = None if spec.rhs.poly_part.is_zero() else spec.rhs.poly_part
-    values, _ = _representation_values(spec, grid, forcing, ctrl, cache, companion_mode)
+    values, _ = _representation_values(spec, grid, forcing, ctrl, cache)
     return SolutionTrace(grid, values, {"method": "linear"})
 
 
@@ -533,7 +513,6 @@ def apply_F(
     y: SolutionTrace,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    companion_mode: str = "corrected",
     homog: np.ndarray | None = None,
     extra_forcing: Callable | None = None,
 ) -> SolutionTrace:
@@ -546,7 +525,7 @@ def apply_F(
     """
     _check_solver_grid(spec, y.grid)
     if cache is None:
-        cache = KernelCache(spec, ctrl, companion_mode)
+        cache = KernelCache(spec, ctrl)
     nodes = y.grid.nodes()
     rhs = spec.rhs
 
@@ -554,14 +533,12 @@ def apply_F(
         f = rhs(s, np.interp(s, nodes, y.values))
         return f if extra_forcing is None else f + extra_forcing(s)
 
-    values, homog = _representation_values(
-        spec, y.grid, forcing, ctrl, cache, companion_mode, homog
-    )
+    values, homog = _representation_values(spec, y.grid, forcing, ctrl, cache, homog)
     return SolutionTrace(y.grid, values, {"method": "apply_F"})
 
 
 def _bielecki_weights(ts: np.ndarray, omega: float, alpha: float, ctrl) -> np.ndarray:
-    return np.array([weight_ml(alpha, omega, t, ctrl) for t in ts[ts >= 0.0]])
+    return weight_ml(alpha, omega, ts[ts >= 0.0], ctrl)
 
 
 def weighted_norm(
@@ -620,7 +597,6 @@ def picard_solve(
     omega: float | None = None,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    companion_mode: str = "corrected",
     extra_forcing: Callable | None = None,
 ) -> tuple[SolutionTrace, dict]:
     """Banach fixed-point iteration for the nonlinear problem.
@@ -643,7 +619,7 @@ def picard_solve(
             f"contraction factor q={q:.6g} >= 1; increase omega or shrink the problem"
         )
     if cache is None:
-        cache = KernelCache(spec, ctrl, companion_mode)
+        cache = KernelCache(spec, ctrl)
     rhs = spec.rhs
     shape0 = rhs.shape_of(0.0)
 
@@ -651,9 +627,7 @@ def picard_solve(
         f = rhs.poly_part(s) + rhs.kappa * shape0
         return f if extra_forcing is None else f + extra_forcing(s)
 
-    values, homog = _representation_values(
-        spec, grid, forcing0, ctrl, cache, companion_mode
-    )
+    values, homog = _representation_values(spec, grid, forcing0, ctrl, cache)
     y = SolutionTrace(grid, values)
     ts = grid.nodes()
     weights = _bielecki_weights(ts, omega, spec.alpha, ctrl)
@@ -661,7 +635,7 @@ def picard_solve(
     deltas: list[float] = []
     deltas_sup: list[float] = []
     for iteration in range(1, max_iter + 1):
-        y_next = apply_F(spec, y, ctrl, cache, companion_mode, homog, extra_forcing)
+        y_next = apply_F(spec, y, ctrl, cache, homog, extra_forcing)
         diff = y_next.values - y.values
         delta = weighted_norm(ts, diff, omega, spec.alpha, ctrl, weights)
         deltas.append(delta)

@@ -10,7 +10,9 @@ negligible.  Terms are evaluated in log space,
     sign * exp(n*log|lam| + k*log|mu| + e*log(t - k*h)
                + log C(n+k, k) - log Gamma(e + 1)),
 
-so that binomials and gamma factors never overflow individually.
+so that binomials and gamma factors never overflow individually.  The
+delayed series and E_{a,b} (its row k = 0 at t = 1) are summed by one
+array-valued engine, ``_delayed_series``.
 """
 
 from __future__ import annotations
@@ -124,33 +126,13 @@ def recip_gamma(x: float) -> float:
 
 
 def mittag_leffler(a: float, b: float, z: float, ctrl: SeriesControl | None = None) -> float:
-    """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum z^k / Gamma(ak+b)."""
-    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+    """Two-parameter Mittag-Leffler function E_{a,b}(z) = sum z^k / Gamma(ak+b).
+
+    It is row k = 0 of the delayed series at t = 1 with lam = z.
+    """
     if not (a > 0 and b > 0):
         raise ValidationError("mittag_leffler requires a > 0 and b > 0")
-    if z == 0.0:
-        return recip_gamma(b)
-    log_z = math.log(abs(z))
-    negative = z < 0
-    total = 0.0
-    quiet = 0
-    for k in range(ctrl.max_terms):
-        logmag = k * log_z - math.lgamma(a * k + b)
-        if logmag > _LOG_MAX:
-            raise OverflowError(f"mittag_leffler term overflow at k={k}")
-        term = math.exp(logmag)
-        if negative and k % 2:
-            term = -term
-        total += term
-        if abs(term) < ctrl.threshold(total):
-            quiet += 1
-            if quiet >= ctrl.consecutive_small:
-                return total
-        else:
-            quiet = 0
-    raise SeriesConvergenceError(
-        f"mittag_leffler(a={a}, b={b}, z={z}) did not converge in {ctrl.max_terms} terms"
-    )
+    return float(_delayed_series(1.0, a, b, 1.0, z, 0.0, 1.0, ctrl))
 
 
 def ml_kernel(a: float, b: float, lam: float, t: float, ctrl: SeriesControl | None = None) -> float:
@@ -160,13 +142,21 @@ def ml_kernel(a: float, b: float, lam: float, t: float, ctrl: SeriesControl | No
     return t ** (b - 1.0) * mittag_leffler(a, b, lam * t**a, ctrl)
 
 
-def weight_ml(alpha: float, omega: float, t: float, ctrl: SeriesControl | None = None) -> float:
-    """Weight E_alpha(omega; t) := E_{alpha,1}(omega t^alpha); >= 1 and nondecreasing."""
-    if t < 0:
+def weight_ml(alpha: float, omega: float, t, ctrl: SeriesControl | None = None):
+    """Weight E_alpha(omega; t) := E_{alpha,1}(omega t^alpha); >= 1 and nondecreasing.
+
+    ``t`` is one time (float result) or an array of times; the series is the
+    delayed one with mu = 0, b = 1 and lam = omega.
+    """
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts < 0):
         raise ValidationError("weight_ml requires t >= 0")
     if omega <= 0:
         raise ValidationError("weight_ml requires omega > 0")
-    return mittag_leffler(alpha, 1.0, omega * t**alpha, ctrl)
+    if not alpha > 0:
+        raise ValidationError("weight_ml requires alpha > 0")
+    out = _delayed_series(1.0, alpha, 1.0, 1.0, omega, 0.0, ts, ctrl)
+    return float(out) if out.ndim == 0 else out
 
 
 def wright_series(spec: WrightSpec, z: float, ctrl: SeriesControl | None = None) -> float:
@@ -332,6 +322,101 @@ def delayed_ml_piecewise(
     return total
 
 
+def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
+    """Exponents e, log-coefficients and signs of the terms of delay row k.
+
+    The term count is the scalar stop rule run at base exp(log_base), where
+    the row's terms are largest, on the signed partial sum ``partial`` that
+    the earlier rows left there.  Term n is sign * exp(coef + e * log(base)).
+    """
+    lgamma = math.lgamma
+    log_lam = math.log(abs(lam)) if lam != 0.0 else 0.0
+    k_log = (k * math.log(abs(mu)) if k else 0.0) - lgamma(k + 1.0)
+    k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
+    es, coefs, signs = [], [], []
+    quiet = 0
+    for n in range(ctrl.max_terms + 1):
+        e = k * gamma + n * a + b - 1.0
+        coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
+        sign = -k_sign if (lam < 0 and n % 2) else k_sign
+        es.append(e)
+        coefs.append(coef)
+        signs.append(sign)
+        logmag = coef + e * log_base
+        if logmag > _LOG_MAX:
+            raise OverflowError(f"series term overflow at (n={n}, k={k})")
+        if lam == 0.0:
+            break
+        term = math.exp(logmag)
+        partial += sign * term
+        if term < ctrl.threshold(partial):
+            quiet += 1
+            if quiet >= ctrl.consecutive_small:
+                break
+        else:
+            quiet = 0
+    else:
+        raise SeriesConvergenceError(
+            f"series row k={k} did not converge in {ctrl.max_terms} terms"
+        )
+    return np.array(es), np.array(coefs), np.array(signs)
+
+
+def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
+    """E^{h,gamma}_{a,b}(lam, mu; t) at every t of ``ts`` (any shape).
+
+    The one summation of the package's ML-type series; parameters are
+    checked by the callers.  Delay row k (points with t >= kh, within
+    _EXP_SNAP) is filled at all its points at once with the terms that
+    ``_row_terms`` sets.  At a knot, base t - kh <= 0, the 0^e rule applies
+    to the row's leading term (the others have e >= e_0 + a): 0 if e > 0,
+    the coefficient if e = 0, a signed infinity if e < 0.  The sum over rows
+    stops after ``consecutive_small`` rows that are negligible at every point.
+    """
+    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+    ts = np.asarray(ts, dtype=float)
+    t = ts.ravel()
+    acc = np.zeros(t.size)
+    last_row = np.where(t < 0.0, -1.0, np.floor(t / h + _EXP_SNAP))
+    quiet_rows = 0
+    for k in range(int(last_row.max(initial=-1.0)) + 1):
+        if k and mu == 0.0:
+            break
+        if k > ctrl.max_terms:
+            raise SeriesConvergenceError("delay sum did not converge")
+        at = np.nonzero(last_row >= k)[0]
+        base = t[at] - k * h
+        regular = base > 0.0
+        e0 = k * gamma + b - 1.0
+        sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
+        if e0 < -_EXP_SNAP:
+            knot = sign0 * math.inf
+        elif e0 <= _EXP_SNAP:
+            knot = sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
+        else:
+            knot = 0.0
+        row = np.full(at.size, knot)
+        peak = np.full(at.size, abs(knot) if math.isfinite(knot) else 0.0)
+        if regular.any():
+            logb = np.log(base[regular])
+            top = int(np.argmax(logb))
+            es, coefs, signs = _row_terms(
+                k, a, b, gamma, lam, mu, float(logb[top]), float(acc[at[regular][top]]), ctrl
+            )
+            logmat = coefs[:, None] + es[:, None] * logb
+            row[regular] = signs @ np.exp(logmat)
+            peak[regular] = np.exp(logmat.max(axis=0))
+        acc[at] += row
+        s = np.abs(acc[at])
+        if np.all(peak < np.maximum(ctrl.abs_tol * np.maximum(1.0, s), ctrl.rel_tol * s)):
+            quiet_rows += 1
+            if quiet_rows >= ctrl.consecutive_small:
+                break
+        else:
+            quiet_rows = 0
+    return acc.reshape(ts.shape)
+
+
 def delayed_ml_gen(
     h: float,
     a: float,
@@ -353,87 +438,7 @@ def delayed_ml_gen(
     and negative exponent makes the pointwise value infinite; that (signed)
     infinity is returned rather than raised.
     """
-    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
-    if not (h > 0 and a > 0 and b > 0 and gamma > 0):
-        raise ValidationError("delayed_ml_gen requires h, a, b, gamma > 0")
-    if t < 0.0:
-        return 0.0
-    log_lam = math.log(abs(lam)) if lam != 0.0 else None
-    log_mu = math.log(abs(mu)) if mu != 0.0 else None
-    lgamma = math.lgamma
-    k_max = int(math.floor(t / h + _EXP_SNAP))
-    total = 0.0
-    quiet_rows = 0
-    for k in range(k_max + 1):
-        if k and log_mu is None:
-            break
-        if k > ctrl.max_terms:
-            raise SeriesConvergenceError("delayed_ml_gen delay sum did not converge")
-        base = t - k * h
-        if base < 0.0:
-            base = 0.0
-        log_base = math.log(base) if base > 0.0 else None
-        k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
-        row_peak = 0.0
-        quiet = 0
-        n = 0
-        while True:
-            if n and log_lam is None:
-                break
-            e = k * gamma + n * a + b - 1.0
-            sign = -k_sign if (lam < 0 and n % 2) else k_sign
-            if log_base is None:
-                # base == 0 exactly (a knot with H(0)=1): 0^e logic.
-                if e > _EXP_SNAP:
-                    term = 0.0
-                elif e >= -_EXP_SNAP:
-                    logmag = (
-                        (n * log_lam if n else 0.0)
-                        + (k * log_mu if k else 0.0)
-                        + lgamma(n + k + 1.0)
-                        - lgamma(n + 1.0)
-                        - lgamma(k + 1.0)
-                        - lgamma(e + 1.0)
-                    )
-                    term = sign * math.exp(logmag)
-                else:
-                    return sign * math.inf
-            else:
-                logmag = (
-                    (n * log_lam if n else 0.0)
-                    + (k * log_mu if k else 0.0)
-                    + lgamma(n + k + 1.0)
-                    - lgamma(n + 1.0)
-                    - lgamma(k + 1.0)
-                    + e * log_base
-                    - lgamma(e + 1.0)
-                )
-                if logmag > _LOG_MAX:
-                    raise OverflowError(
-                        f"delayed_ml_gen term overflow at (n={n}, k={k}, t={t})"
-                    )
-                term = sign * math.exp(logmag)
-            total += term
-            mag = abs(term)
-            row_peak = max(row_peak, mag)
-            if mag < ctrl.threshold(total):
-                quiet += 1
-                if quiet >= ctrl.consecutive_small:
-                    break
-            else:
-                quiet = 0
-            n += 1
-            if n > ctrl.max_terms:
-                raise SeriesConvergenceError(
-                    f"delayed_ml_gen inner sum did not converge (k={k}, t={t})"
-                )
-        if row_peak < ctrl.threshold(total):
-            quiet_rows += 1
-            if quiet_rows >= ctrl.consecutive_small:
-                break
-        else:
-            quiet_rows = 0
-    return total
+    return float(delayed_ml_gen_many(h, a, b, gamma, lam, mu, [t], ctrl)[0])
 
 
 def delayed_ml_gen_many(
@@ -446,91 +451,7 @@ def delayed_ml_gen_many(
     ts,
     ctrl: SeriesControl | None = None,
 ):
-    """Vectorized ``delayed_ml_gen`` for an array of evaluation points.
-
-    The truncation length of each k-row is fixed by running the scalar stop
-    rule at the point where the row's terms are largest, then all points are
-    filled with one vectorized pass, so agreement with the scalar function is
-    within series tolerance.  Points at (or below) a knot t = k*h fall back
-    to the scalar code path, which handles the 0^e cases.
-    """
-    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+    """``delayed_ml_gen`` at every point of the array ``ts`` (same shape)."""
     if not (h > 0 and a > 0 and b > 0 and gamma > 0):
-        raise ValidationError("delayed_ml_gen_many requires h, a, b, gamma > 0")
-    ts = np.asarray(ts, dtype=float)
-    out = np.zeros(ts.shape)
-    if ts.size == 0:
-        return out
-    flat = ts.ravel()
-    res = out.ravel()
-    near_knot = np.abs(flat / h - np.round(flat / h)) <= _EXP_SNAP
-    vec = (flat > 0.0) & ~near_knot
-    for i in np.nonzero(~vec)[0]:
-        res[i] = delayed_ml_gen(h, a, b, gamma, lam, mu, float(flat[i]), ctrl)
-    if not vec.any():
-        return out
-    tv = flat[vec]
-    acc = np.zeros(tv.shape)
-    log_lam = math.log(abs(lam)) if lam != 0.0 else None
-    log_mu = math.log(abs(mu)) if mu != 0.0 else None
-    lgamma = math.lgamma
-    k_max = int(math.floor(float(tv.max()) / h + _EXP_SNAP))
-    for k in range(k_max + 1):
-        if k and log_mu is None:
-            break
-        base = tv - k * h
-        act = base > 0.0
-        if not act.any():
-            continue
-        logb = np.log(base[act])
-        logb_max = float(logb.max())
-        k_log = (k * log_mu if k else 0.0) - lgamma(k + 1.0)
-        # Scalar probe at the dominant point fixes the truncation length.
-        if log_lam is None:
-            n_terms = 1
-        else:
-            probe_sum = 0.0
-            quiet = 0
-            n = 0
-            while True:
-                e = k * gamma + n * a + b - 1.0
-                logmag = (
-                    (n * log_lam if n else 0.0)
-                    + k_log
-                    + lgamma(n + k + 1.0)
-                    - lgamma(n + 1.0)
-                    + e * logb_max
-                    - lgamma(e + 1.0)
-                )
-                if logmag > _LOG_MAX:
-                    raise OverflowError(
-                        f"delayed_ml_gen_many term overflow at (n={n}, k={k})"
-                    )
-                mag = math.exp(logmag)
-                probe_sum += mag
-                if mag < ctrl.threshold(probe_sum):
-                    quiet += 1
-                    if quiet >= ctrl.consecutive_small:
-                        break
-                else:
-                    quiet = 0
-                n += 1
-                if n > ctrl.max_terms:
-                    raise SeriesConvergenceError(
-                        f"delayed_ml_gen_many inner sum did not converge (k={k})"
-                    )
-            n_terms = n + 1
-        ns = np.arange(n_terms, dtype=float)
-        es = k * gamma + ns * a + (b - 1.0)
-        coef = k_log + _gammaln_sp(ns + k + 1.0) - _gammaln_sp(ns + 1.0) - _gammaln_sp(es + 1.0)
-        if log_lam is not None:
-            coef += ns * log_lam
-        signs = np.ones(n_terms)
-        if lam < 0:
-            signs[1::2] = -1.0
-        if mu < 0 and k % 2:
-            signs = -signs
-        logmat = coef[:, None] + es[:, None] * logb[None, :]
-        acc[act] += (signs[:, None] * np.exp(logmat)).sum(axis=0)
-    res[vec] = acc
-    return out
+        raise ValidationError("delayed_ml_gen requires h, a, b, gamma > 0")
+    return _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl)

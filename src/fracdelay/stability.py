@@ -76,7 +76,6 @@ def perturbed_solve(
     tol: float = 1e-8,
     margin: float = 2.0,
     ctrl: SeriesControl | None = None,
-    companion_mode: str = "corrected",
     cache: KernelCache | None = None,
 ) -> UhResult:
     """Solve the perturbed and exact problems and evaluate the UH inequality.
@@ -93,7 +92,7 @@ def perturbed_solve(
     L_f = spec.rhs.lipschitz
     omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0
     if cache is None:
-        cache = KernelCache(spec, ctrl, companion_mode)
+        cache = KernelCache(spec, ctrl)
     x, _ = picard_solve(
         spec,
         grid,
@@ -101,18 +100,9 @@ def perturbed_solve(
         omega=omega,
         ctrl=ctrl,
         cache=cache,
-        companion_mode=companion_mode,
         extra_forcing=pert if pert.epsilon != 0.0 else None,
     )
-    y, _ = picard_solve(
-        spec,
-        grid,
-        tol=tol,
-        omega=omega,
-        ctrl=ctrl,
-        cache=cache,
-        companion_mode=companion_mode,
-    )
+    y, _ = picard_solve(spec, grid, tol=tol, omega=omega, ctrl=ctrl, cache=cache)
     lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, ctrl)
     rhs_bound = pert.epsilon * uh_constant(spec, L_f, omega)
     return UhResult(x, y, lhs, rhs_bound)

@@ -472,26 +472,76 @@ def test_gen_exponential_bound_spot_checks():
 # ---------------------------------------------------------------------------
 
 
+# Reference values of E^{h,gamma}_{a,b}(lam, mu; t), frozen from mpmath at 60
+# digits as the direct double sum over k <= t/h and n of
+# C(n+k,k) lam^n mu^k (t-kh)^e / Gamma(e+1), e = k gamma + n a + b - 1, at the
+# exact binary values of the inputs, with 0^e = 0, 1 or a signed infinity at a
+# knot.  Every finite point has sum|term| / |sum term| <= 27.
+GEN_NEGATIVE_ROWS = [
+    # (h, a, b, gamma, lam, mu), t, value
+    ((1.0, 1.2, 1.6, 1.6, -0.5, -0.3), [
+        [-0.25, 0.0, 0.4, 1.0],
+        [1.7, 2.0, 2.6, 3.4],
+    ], [
+        [0.0, 0.0, 0.5911240145559383822603791, 0.859009017659600995751359],
+        [0.8884832226689679483784678, 0.832835943089021992708566,
+         0.6500706969410548733404207, 0.3515030632031748888123946],
+    ]),
+    ((1.0, 1.2, 0.6, 1.6, -0.5, -0.3), [0.0, 0.5, 1.0, 2.0, 2.5, -1.0], [
+        math.inf, 0.6072859377852651258831421, 0.2448693765162770655411356,
+        -0.2350485719671398659306258, -0.3430643990804310114833134, 0.0,
+    ]),
+    # gamma + b - 1 < 0: the knot t = h carries (-0.3)^1 0^{-0.2}
+    ((1.0, 1.2, 0.6, 0.2, -0.5, -0.3), [0.5, 1.0, 1.5], [
+        0.6072859377852651258831421, -math.inf, -0.1066188882381492847171352,
+    ]),
+]
+
+
 def test_gen_many_matches_scalar():
-    rng = np.random.default_rng(2024)
-    h, a, b, gamma = 1.0, 1.2, 1.6, 1.6
-    lam, mu = -0.5, 0.3
-    ts = rng.uniform(-0.5, 3.7, size=64)
-    ts = np.append(ts, [0.0, 1.0, 2.0, -0.25])  # knots and negatives
-    batch = delayed_ml_gen_many(h, a, b, gamma, lam, mu, ts)
-    for t, v in zip(ts, batch):
-        ref = delayed_ml_gen(h, a, b, gamma, lam, mu, float(t))
-        assert v == pytest.approx(ref, rel=1e-12, abs=1e-13)
+    # array and scalar entries against the same frozen references: lam < 0
+    # and mu < 0 rows, the knots t = h and t = 2h, t = 0 with b < 1, t < 0,
+    # and a 2-D input
+    for params, ts, ref in GEN_NEGATIVE_ROWS:
+        ts, ref = np.array(ts), np.array(ref)
+        batch = delayed_ml_gen_many(*params, ts)
+        assert batch.shape == ts.shape
+        scalar = np.array([delayed_ml_gen(*params, float(t)) for t in ts.ravel()])
+        for got in (batch.ravel(), scalar):
+            special = ~np.isfinite(ref.ravel()) | (ref.ravel() == 0.0)
+            assert np.array_equal(got[special], ref.ravel()[special])
+            assert got[~special] == pytest.approx(ref.ravel()[~special], rel=1e-12, abs=1e-13)
 
 
 def test_gen_many_positive_mu_lam():
-    rng = np.random.default_rng(99)
-    ts = rng.uniform(0.01, 3.9, size=40)
+    # same recipe as GEN_NEGATIVE_ROWS; t = 0.7 and 1.4 are the knots h, 2h
+    ts = np.array([0.05, 0.7, 1.0, 1.4, 2.3, 3.9])
+    ref = [
+        0.2569975168059655315077232, 1.327057176016635709950093,
+        1.921573445361774094376086, 3.068300036745015385094596,
+        8.330597053718707407045036, 46.84785146128988917054105,
+    ]
     batch = delayed_ml_gen_many(0.7, 1.1, 1.5, 1.3, 0.8, 0.6, ts)
-    for t, v in zip(ts, batch):
-        assert v == pytest.approx(
-            delayed_ml_gen(0.7, 1.1, 1.5, 1.3, 0.8, 0.6, float(t)), rel=1e-12
-        )
+    assert batch == pytest.approx(ref, rel=1e-12)
+    for t, v in zip(ts, ref):
+        assert delayed_ml_gen(0.7, 1.1, 1.5, 1.3, 0.8, 0.6, float(t)) == pytest.approx(v, rel=1e-12)
+
+
+def test_ml_and_weight_arrays_match_scalar_calls():
+    # the array path of the series at mu = 0 is t^{b-1} E_{a,b}(lam t^a), and
+    # weight_ml on an array is the scalar weight at each node
+    ts = np.linspace(0.0, 3.0, 25)
+    for a, b, lam in ((1.6, 1.0, -0.5), (0.8, 0.4, 1.3), (1.2, 1.6, 2.0)):
+        batch = delayed_ml_gen_many(1.0, a, b, 1.0, lam, 0.0, ts[1:])
+        for t, v in zip(ts[1:], batch):
+            ref = t ** (b - 1.0) * mittag_leffler(a, b, lam * t**a)
+            assert v == pytest.approx(ref, rel=1e-13)
+    weights = weight_ml(1.6, 3.0, ts)
+    assert weights.shape == ts.shape
+    for t, w in zip(ts, weights):
+        assert w == pytest.approx(weight_ml(1.6, 3.0, float(t)), rel=1e-14)
+        assert w == pytest.approx(mittag_leffler(1.6, 1.0, 3.0 * t**1.6), rel=1e-13)
+    assert weights[0] == 1.0
 
 
 def test_gen_many_empty_and_shapes():
