@@ -234,6 +234,29 @@ def test_picard_solution_matches_stepping_oracle(sin_spec, picard_run):
     )
 
 
+def test_richardson_oracle_matches_fine_closed_form(sin_spec, shared_cache):
+    # GL is first order, so one Richardson step 2 y(tau/2) - y(tau) removes
+    # the leading error; this sharpens the 5e-2 gate above, it does not
+    # replace it
+    start = time.perf_counter()
+    closed, _ = picard_solve(
+        sin_spec, solver_grid(sin_spec, 256), tol=PICARD_TOL, cache=shared_cache
+    )
+    coarse = gl_solve(sin_spec, OracleConfig(step=2.0**-10))
+    fine = gl_solve(sin_spec, OracleConfig(step=2.0**-11))
+    ts = closed.grid.nodes()
+    idx = np.nonzero(ts >= -1e-12)[0]
+    stride = round(closed.grid.step / coarse.grid.step)
+    richardson = 2.0 * fine.values[idx * 2 * stride] - coarse.values[idx * stride]
+    gap = float(np.max(np.abs(richardson - closed.values[idx])))
+    elapsed = time.perf_counter() - start
+    report(
+        "Richardson-extrapolated oracle vs closed form at h/256",
+        gap <= 1e-5 and elapsed < 60.0,
+        f"max diff {gap:.3g} from steps 2^-10 and 2^-11 (<= 1e-5), {elapsed:.1f}s",
+    )
+
+
 def test_contraction_rate_and_weight_invariance(sin_spec, shared_cache, picard_run):
     trace2, rep, _ = picard_run
     start = time.perf_counter()

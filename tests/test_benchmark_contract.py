@@ -1,0 +1,88 @@
+"""The names the benchmark's tracer wraps must stay on the solve path.
+
+``perfbench/tracing.py`` wraps one public function per layer by module and
+attribute name; a renamed or removed function makes its metrics ``null`` and
+the benchmark run malformed.  The tracer module is loaded read-only from its
+file (it needs only the standard library and numpy).
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fracdelay import oracle
+from fracdelay.fraccalc import ShiftedPolynomial
+from fracdelay.oracle import OracleConfig, gl_solve, residual_check
+from fracdelay.repsolver import ProblemSpec, RhsSpec
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def readme_spec():
+    return ProblemSpec(
+        alpha=1.6,
+        beta=0.4,
+        lam=-0.5,
+        mu=0.3,
+        h=1.0,
+        l=3,
+        phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
+        rhs=RhsSpec(kappa=0.25, shape="sin"),
+    )
+
+
+def test_every_traced_name_resolves(tracing):
+    missing = []
+    for name, module_name, attr, _, _ in tracing.TARGETS:
+        owner = importlib.import_module(module_name)
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(name)
+    assert missing == []
+
+
+def test_residual_check_calls_gl_derivative_once_per_order(monkeypatch, readme_spec):
+    orders = []
+    original = oracle.gl_derivative
+
+    def recording(samples, step, order):
+        orders.append(order)
+        return original(samples, step, order)
+
+    monkeypatch.setattr(oracle, "gl_derivative", recording)
+    cfg = OracleConfig(step=2.0**-7)
+    residual_check(gl_solve(readme_spec, cfg), readme_spec, cfg)
+    assert sorted(orders) == sorted([readme_spec.alpha, readme_spec.beta])
+
+
+def test_traced_oracle_layers_run(tracing, readme_spec):
+    for _, module_name, _, _, _ in tracing.TARGETS:
+        importlib.import_module(module_name)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        cfg = OracleConfig(step=2.0**-7)
+        # through the module attributes, which the tracer has replaced
+        oracle.residual_check(oracle.gl_solve(readme_spec, cfg), readme_spec, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    metrics, status = tracer.layer_metrics(1)
+    assert all(m["value"] is not None for m in metrics.values())
+    for name in ("fraccalc.gl_derivative_s", "oracle.gl_solve_s", "oracle.residual_s"):
+        assert status[name] == "ran"
+    # one implicit step per positive node: 3 delays of 128 steps
+    assert metrics["oracle.steps"]["value"] == 3 * 128

@@ -8,6 +8,7 @@ import pytest
 
 from fracdelay.errors import ValidationError
 from fracdelay.fraccalc import (
+    _GL_BLOCK,
     ShiftedPolynomial,
     UniformGrid,
     derive_initial_data,
@@ -243,6 +244,29 @@ def test_gl_weights_match_binomial():
 
 def test_gl_derivative_zero_samples():
     out = gl_derivative(np.zeros(50), 0.01, 0.7)
+    assert np.all(out == 0.0)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, _GL_BLOCK - 1, _GL_BLOCK, _GL_BLOCK + 1, 2 * _GL_BLOCK + 3, 3 * _GL_BLOCK]
+)
+@pytest.mark.parametrize("order", [0.4, 1.0, 1.6])
+def test_gl_derivative_matches_direct_convolution(n, order):
+    # the blocked FFT product against the direct sums, at and around the
+    # block boundaries; FFT rounding scales with sum_j |w_j| * max |y|
+    rng = np.random.default_rng(n)
+    samples = rng.normal(size=n)
+    step = 0.01
+    w = gl_weights(order, n)
+    ref = step ** (-order) * np.convolve(samples, w)[:n]
+    got = gl_derivative(samples, step, order)
+    scale = step ** (-order) * np.sum(np.abs(w)) * np.max(np.abs(samples))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
+def test_gl_derivative_zero_samples_across_blocks():
+    out = gl_derivative(np.zeros(2 * _GL_BLOCK + 3), 2.0**-13, 1.6)
     assert np.all(out == 0.0)
 
 

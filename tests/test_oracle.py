@@ -115,6 +115,28 @@ def test_gl_solve_self_convergence():
     assert diffs[1] / diffs[0] <= 0.75
 
 
+def test_gl_solve_matches_frozen_values():
+    # README problem (sine forcing, T = 3) at step 2^-7; values frozen from
+    # the scheme with the two memory sums done as separate dots
+    spec = make_spec(l=3, rhs=RhsSpec(kappa=0.25, shape="sin"))
+    trace = gl_solve(spec, OracleConfig(step=2.0**-7))
+    frozen = {
+        129: 1.0145189401678756,
+        160: 1.3436131242624785,
+        192: 1.5754155028690817,
+        256: 1.8964852444728608,
+        257: 1.9007265833417684,
+        320: 2.1512544362980957,
+        384: 2.3874469380866508,
+        448: 2.6122095000925647,
+        480: 2.7207924437745437,
+        512: 2.826968951174257,
+    }
+    assert trace.values.size == 513
+    for i, value in frozen.items():
+        assert trace.values[i] == pytest.approx(value, rel=0.0, abs=1e-10)
+
+
 def test_gl_solve_nonlinear_term_active():
     spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
     base = make_spec()

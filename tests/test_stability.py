@@ -13,6 +13,7 @@ from fracdelay.repsolver import (
     ProblemSpec,
     RhsSpec,
     choose_omega,
+    picard_solve,
     solver_grid,
 )
 from fracdelay.stability import PerturbationSpec, UhResult, perturbed_solve, uh_constant
@@ -131,3 +132,39 @@ def test_perturbed_solve_bound_and_linear_scaling():
         lhss.append(result.lhs)
     # the response is essentially linear in epsilon
     assert 9.0 <= lhss[0] / lhss[1] <= 11.0
+
+
+def test_perturbation_sampled_once_per_solve():
+    # the forcing does not depend on y, so the number of g_shape calls must
+    # not grow with the number of Picard iterations
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=8)
+    cache = KernelCache(spec)
+    counts, iterations = [], []
+    for tol in (1e-3, 1e-10):
+        calls = []
+
+        def g_shape(t):
+            calls.append(t)
+            return math.cos(2.0 * t)
+
+        pert = PerturbationSpec(0.01, g_shape)
+        result = perturbed_solve(spec, pert, grid, tol=tol, cache=cache)
+        counts.append(len(calls))
+        iterations.append(result.x.meta["iterations"])
+    assert iterations[1] > iterations[0]
+    assert counts[0] == counts[1]
+
+
+def test_sampled_perturbation_matches_direct_forcing():
+    # sampling once must not change a single bit of the perturbed solution
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=16)
+    cache = KernelCache(spec)
+    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    result = perturbed_solve(spec, pert, grid, tol=1e-8, cache=cache)
+    omega = choose_omega(spec, spec.rhs.lipschitz, 2.0)
+    direct, _ = picard_solve(
+        spec, grid, tol=1e-8, omega=omega, cache=cache, extra_forcing=pert
+    )
+    assert np.array_equal(result.x.values, direct.values)
