@@ -194,19 +194,18 @@ def _parse_problem(cfg: dict) -> ProblemSpec:
     return ProblemSpec(alpha, beta, lam, mu, h, l, phi, c1, c2, rhs)
 
 
+def _present(node: dict, fields: dict, where: str) -> dict:
+    """The keys of ``fields`` that ``node`` has, each read by its parser; the
+    object built from them keeps its own defaults for the others."""
+    _reject_unknown(node, fields, where)
+    return {key: read(node, key, where) for key, read in fields.items() if key in node}
+
+
 def _parse_series(node) -> SeriesControl | None:
     if node is None:
         return None
-    node = _mapping(node, "numerics.series")
-    _reject_unknown(
-        node, {"abs_tol", "rel_tol", "max_terms", "consecutive_small"}, "numerics.series"
-    )
-    return SeriesControl(
-        abs_tol=_real(node, "abs_tol", "numerics.series", 1e-14),
-        rel_tol=_real(node, "rel_tol", "numerics.series", 1e-12),
-        max_terms=_integer(node, "max_terms", "numerics.series", 10000),
-        consecutive_small=_integer(node, "consecutive_small", "numerics.series", 3),
-    )
+    fields = dict(abs_tol=_real, rel_tol=_real, max_terms=_integer, consecutive_small=_integer)
+    return SeriesControl(**_present(_mapping(node, "numerics.series"), fields, "numerics.series"))
 
 
 def _parse_numerics(cfg: dict) -> dict:
@@ -238,12 +237,8 @@ def _parse_numerics(cfg: dict) -> dict:
 
 def _parse_oracle(cfg: dict, h: float) -> OracleConfig:
     node = _mapping(cfg.get("oracle", {}), "oracle")
-    _reject_unknown(node, {"step", "newton_tol", "newton_max"}, "oracle")
-    return OracleConfig(
-        step=_real(node, "step", "oracle", h / 512.0),
-        newton_tol=_real(node, "newton_tol", "oracle", 1e-12),
-        newton_max=_integer(node, "newton_max", "oracle", 50),
-    )
+    fields = {"step": _real, "newton_tol": _real, "newton_max": _integer}
+    return OracleConfig(**{"step": h / 512.0, **_present(node, fields, "oracle")})
 
 
 def _parse_output(cfg: dict) -> dict:

@@ -71,11 +71,15 @@ class ResidualReport:
 
 
 def _solve_step(spec, cfg, c, rhs_known, t_i, y_prev):
-    """Solve c*y - f(t_i, y) = rhs_known for y, starting from y_prev."""
+    """Solve c*y - kappa*shape(y) = rhs_known for y, starting from y_prev.
+
+    ``rhs_known`` holds every term of the step that does not depend on y_i,
+    the rhs poly_part at t_i among them.
+    """
     f = spec.rhs
     y = y_prev
     for _ in range(cfg.newton_max):
-        g = c * y - f(t_i, y) - rhs_known
+        g = c * y - f.kappa * f.shape_of(y) - rhs_known
         slope = c - f.dfdy(y)
         if abs(slope) <= 1e-12 * max(1.0, abs(c)):
             raise NewtonError(
@@ -85,11 +89,11 @@ def _solve_step(spec, cfg, c, rhs_known, t_i, y_prev):
         y -= step
         if abs(step) <= cfg.newton_tol * max(1.0, abs(y)):
             return y
-    # Fixed-point fallback: y <- (f(t, y) + rhs_known) / c.
+    # Fixed-point fallback: y <- (kappa*shape(y) + rhs_known) / c.
     if c == 0.0:
         raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
     for _ in range(10 * cfg.newton_max):
-        y_new = (f(t_i, y) + rhs_known) / c
+        y_new = (f.kappa * f.shape_of(y) + rhs_known) / c
         if abs(y_new - y) <= cfg.newton_tol * max(1.0, abs(y_new)):
             return y_new
         y = y_new
@@ -122,10 +126,13 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
 
     y = np.empty(n)
     y[: m + 1] = spec.phi(ts[: m + 1])
+    # p(t_i) of f = p(t) + kappa*shape(y) joins the known side; a zero-stride
+    # view when p is constant
+    p = np.broadcast_to(spec.rhs.poly_part(ts), ts.shape)
     # the Newton step gets Python floats: arithmetic on numpy scalars costs
     # about three times as much per operation
     for i in range(m + 1, n):
-        rhs_known = float(spec.mu * y[i - m] - np.dot(y[:i], w_rev[n - 1 - i : n - 1]))
+        rhs_known = float(spec.mu * y[i - m] - np.dot(y[:i], w_rev[n - 1 - i : n - 1]) + p[i])
         y[i] = _solve_step(spec, cfg, c, rhs_known, float(ts[i]), float(y[i - 1]))
     return SolutionTrace(grid, y, {"method": "gl", "step": tau})
 

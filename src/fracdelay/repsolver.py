@@ -242,35 +242,53 @@ class KernelCache:
     """Kernel values for the solves over one set of coefficients.
 
     ``fetch_many`` evaluates a kernel at given offsets through the vectorized
-    series.  ``table`` keeps, per kernel and cell width, the kernel at the
-    offsets of the product rule, so every sweep of a solve, and every solve
-    that shares the cache on the same grid step, reads one table.
+    series.  ``table`` keeps, per cell width, the main kernel at the offsets
+    of the product rule, so every sweep of a solve, and every solve that
+    shares the cache on the same grid step, reads one table.  The solvers
+    accept a cache for any problem with the same kernels and series control
+    and reject any other.
     """
 
     def __init__(self, spec: ProblemSpec, ctrl: SeriesControl | None = None) -> None:
         self.spec = spec
         self.ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
-        self._tables: dict[tuple[str, float], tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
         args = _kernel_params(self.spec, kernel)
         return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
 
-    def table(self, kernel: str, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Kernel at the rule's offsets on lags 0..cells-1 of width ``step``.
+    def table(self, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """Main kernel at the rule's offsets on lags 0..cells-1 of width ``step``.
 
-        Returns (root, rows): root[g] = K(_ROOT_X[g] * step) on the graded
-        cell and rows[d, q] = K((d + _CELL_X[q]) * step) for d >= 1; row 0,
+        Returns (root, rows): root[g] = K1(_ROOT_X[g] * step) on the graded
+        cell and rows[d, q] = K1((d + _CELL_X[q]) * step) for d >= 1; row 0,
         the graded cell, is zero.
         """
-        stored = self._tables.get((kernel, step))
+        stored = self._tables.get(step)
         if stored is None or len(stored[1]) < cells:
             lags = np.arange(1, cells)[:, None] + _CELL_X
-            values = self.fetch_many(kernel, np.concatenate((_ROOT_X, lags.ravel())) * step)
+            values = self.fetch_many("main", np.concatenate((_ROOT_X, lags.ravel())) * step)
             rows = np.zeros((cells, _CELL_X.size))
             rows[1:] = values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
-            stored = self._tables[(kernel, step)] = (values[: _ROOT_X.size], rows)
+            stored = self._tables[step] = (values[: _ROOT_X.size], rows)
         return stored[0], stored[1][:cells]
+
+
+def _cache_for(
+    spec: ProblemSpec, ctrl: SeriesControl | None, cache: KernelCache | None
+) -> KernelCache:
+    """``cache``, or a new one; a cache for other (h, alpha, beta, lam, mu) or
+    another control (None: the default) would give a wrong answer, so it is
+    an error.  Problems that differ only in phi, c1, c2 or rhs share one."""
+    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+    if cache is None:
+        return KernelCache(spec, ctrl)
+    if _kernel_params(cache.spec, "main") != _kernel_params(spec, "main") or cache.ctrl != ctrl:
+        raise ValidationError(
+            "kernel cache was built for other kernel parameters or another series control"
+        )
+    return cache
 
 
 def _history_source(spec: ProblemSpec, s):
@@ -324,11 +342,10 @@ def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(source(s), dtype=float), s.shape)
 
 
-def _point_rule(ulo: float, uhi: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets u = t - s and weights of the rule on [ulo, uhi]: cells
-    [d*step, (d+1)*step] clipped to the range, graded where one starts at 0."""
-    edges = np.arange(math.floor(ulo / step), math.ceil(uhi / step) + 1) * step
-    edges = np.clip(edges, ulo, uhi)
+def _point_rule(t: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets u = t - s and weights of the rule on [0, t]: cells
+    [d*step, (d+1)*step] clipped to t, the one at u = 0 graded."""
+    edges = np.minimum(np.arange(math.ceil(t / step) + 1) * step, t)
     us, ws = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi > lo:
@@ -354,11 +371,11 @@ def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
     return step
 
 
-def _sweep(cache: KernelCache, kernel: str, source: Callable, ts: np.ndarray, step: float) -> np.ndarray:
-    """integral_0^t K(t - s) source(s) ds at the consecutive nodes ts = k*step."""
+def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) -> np.ndarray:
+    """integral_0^t K1(t - s) source(s) ds at the consecutive nodes ts = k*step."""
     first = round(ts[0] / step)
     n = first + ts.size - 1
-    root, rows = cache.table(kernel, step, n)
+    root, rows = cache.table(step, n)
     ends = np.arange(1, n + 1)[:, None]
     # cell j = [j, j+1]*step holds its rule nodes at s = (j + 1 - x) * step,
     # at kernel offset (d + x) * step from node j + 1 + d
@@ -371,48 +388,34 @@ def _sweep(cache: KernelCache, kernel: str, source: Callable, ts: np.ndarray, st
 
 def convolve_kernel(
     spec: ProblemSpec,
-    kernel: str,
     source: Callable,
-    u0,
-    u1,
     t,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
 ):
-    """integral_{u0}^{u1} kernel(t - s) * source(s) ds by the module's product rule.
+    """integral_0^t K1(t - s) source(s) ds, 0 for t <= 0, by the module's product rule.
 
-    ``source`` maps an array of times to values.  For one time t the cells
-    are h/POINT_DIVISOR wide.  For an array t (with u0 = 0 and u1 = t) of
-    consecutive grid nodes k*step, step dividing h, all nodes are done in one
-    Toeplitz sweep with cells one step wide; any other array is done one time
-    at a time.
+    ``source`` maps an array of times to values.  For one time t (float
+    result) the cells are h/POINT_DIVISOR wide.  For an array t whose
+    positive entries are consecutive grid nodes k*step, step dividing h,
+    those are done in one Toeplitz sweep with cells one step wide; any other
+    array is done one time at a time.
     """
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
-    if np.ndim(t):
-        ts = np.asarray(t, dtype=float)
-        if np.any(np.asarray(u0) != 0.0) or not np.array_equal(np.asarray(u1, dtype=float), ts):
-            raise ValidationError("convolve_kernel over an array of times needs u0 = 0, u1 = t")
-        step = _sweep_step(spec, ts)
-        if step is not None:
-            return _sweep(cache, kernel, source, ts, step)
-        return np.array([convolve_kernel(spec, kernel, source, 0.0, x, x, ctrl, cache) for x in ts])
-    if u1 <= u0:
-        if u1 < u0:
-            raise ValidationError("convolve_kernel requires u0 <= u1")
-        return 0.0
-    if u1 > t + 1e-12:
-        raise ValidationError("convolve_kernel requires u1 <= t")
-    us, ws = _point_rule(max(t - u1, 0.0), t - u0, spec.h / POINT_DIVISOR)
-    return float(np.dot(ws, cache.fetch_many(kernel, us) * _sample(source, t - us)))
-
-
-def _convolve_positive(spec, source, ts, ctrl, cache) -> np.ndarray:
-    """integral_0^t K1(t - s) source(s) ds at each t of ts, 0 where t <= 0."""
+    cache = _cache_for(spec, ctrl, cache)
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        if not ts > 0.0:
+            return 0.0
+        us, ws = _point_rule(float(ts), spec.h / POINT_DIVISOR)
+        return float(np.dot(ws, cache.fetch_many("main", us) * _sample(source, ts - us)))
     out = np.zeros(ts.shape)
     pos = ts > 0.0
     if pos.any():
-        out[pos] = convolve_kernel(spec, "main", source, 0.0, ts[pos], ts[pos], ctrl, cache)
+        step = _sweep_step(spec, ts[pos])
+        if step is not None:
+            out[pos] = _sweep(cache, source, ts[pos], step)
+        else:
+            out[pos] = [convolve_kernel(spec, source, x, cache.ctrl, cache) for x in ts[pos]]
     return out
 
 
@@ -435,15 +438,14 @@ def homogeneous_at(
     ts = np.asarray(t, dtype=float)
     if np.any(ts < -spec.h - 1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
+    cache = _cache_for(spec, ctrl, cache)
     u = np.maximum(ts + spec.h, 0.0)
-    val = _history_closed_form(spec, u, ctrl)
+    val = _history_closed_form(spec, u, cache.ctrl)
     if spec.c1 != 0.0:
         val += spec.c1 * cache.fetch_many("main", u)
     if spec.c2 != 0.0:
         val += spec.c2 * cache.fetch_many("companion", u)
-    val -= _convolve_positive(spec, lambda s: _history_source(spec, s), ts, ctrl, cache)
+    val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache.ctrl, cache)
     return float(val) if val.ndim == 0 else val
 
 
@@ -462,33 +464,29 @@ def forced_at(
     ts = np.asarray(t, dtype=float)
     if np.any(ts < -1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("forced_at requires t in [0, T]")
-    out = _convolve_positive(spec, forcing, ts, ctrl, cache)
-    return float(out) if out.ndim == 0 else out
+    return convolve_kernel(spec, forcing, ts, ctrl, cache)
 
 
-def _representation_values(
-    spec: ProblemSpec,
-    grid: UniformGrid,
-    forcing: Callable | None,
-    ctrl: SeriesControl | None,
-    cache: KernelCache,
-    homog: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """History = phi exactly; positive nodes = homogeneous + forced parts.
+def _base(
+    spec: ProblemSpec, grid: UniformGrid, extra_forcing: Callable | None, cache: KernelCache
+) -> np.ndarray:
+    """The part b of F y that does not depend on y, on the grid: phi on
+    [-h, 0], and for t > 0 the homogeneous term plus
 
-    Returns (values, homog) so the iteration can reuse the homogeneous vector.
+        integral_0^t K1(t-s) (p(s) + extra_forcing(s)) ds,
+
+    with p the rhs poly_part; ``extra_forcing`` maps an array of times to values.
     """
     ts = grid.nodes()
     pos = ts > 0.0
-    if homog is None:
-        homog = homogeneous_at(spec, ts[pos], ctrl, cache)
-    values = np.empty(grid.count)
-    values[~pos] = spec.phi(ts[~pos])
-    if forcing is None:
-        values[pos] = homog
-    else:
-        values[pos] = homog + forced_at(spec, forcing, ts[pos], ctrl, cache)
-    return values, homog
+    base = np.empty(grid.count)
+    base[~pos] = spec.phi(ts[~pos])
+    base[pos] = homogeneous_at(spec, ts[pos], cache.ctrl, cache)
+    poly = spec.rhs.poly_part
+    forcing = poly if extra_forcing is None else (lambda s: poly(s) + extra_forcing(s))
+    if extra_forcing is not None or not poly.is_zero():
+        base[pos] += forced_at(spec, forcing, ts[pos], cache.ctrl, cache)
+    return base
 
 
 def linear_solution(
@@ -501,11 +499,8 @@ def linear_solution(
     if spec.rhs.shape != "zero":
         raise ValidationError("linear_solution requires rhs shape 'zero'")
     _check_solver_grid(spec, grid)
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
-    forcing = None if spec.rhs.poly_part.is_zero() else spec.rhs.poly_part
-    values, _ = _representation_values(spec, grid, forcing, ctrl, cache)
-    return SolutionTrace(grid, values, {"method": "linear"})
+    cache = _cache_for(spec, ctrl, cache)
+    return SolutionTrace(grid, _base(spec, grid, None, cache), {"method": "linear"})
 
 
 def apply_F(
@@ -513,32 +508,31 @@ def apply_F(
     y: SolutionTrace,
     ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    homog: np.ndarray | None = None,
-    extra_forcing: Callable | None = None,
+    base: np.ndarray | None = None,
 ) -> SolutionTrace:
     """One application of the fixed-point operator F.
 
-    (F y)(t) keeps the history and homogeneous terms of the representation and
-    convolves the main kernel with f(s, y(s)), where y(s) is the piecewise
-    linear interpolant of the input trace.  ``extra_forcing`` maps an array
-    of times to values added to f.
+    (F y)(t) = b(t) + integral_0^t K1(t-s) kappa * shape(y(s)) ds, where y(s)
+    is the piecewise linear interpolant of the input trace and b, the part
+    that does not depend on y, is phi on [-h, 0] and for t > 0 the
+    homogeneous term plus the kernel integral of the rhs poly_part.  ``base``
+    is b on the grid when the caller already has it (``picard_solve``
+    computes it once per solve, with its extra forcing).
     """
     _check_solver_grid(spec, y.grid)
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
+    cache = _cache_for(spec, ctrl, cache)
+    if base is None:
+        base = _base(spec, y.grid, None, cache)
     nodes = y.grid.nodes()
     rhs = spec.rhs
 
     def forcing(s: np.ndarray) -> np.ndarray:
-        f = rhs(s, np.interp(s, nodes, y.values))
-        return f if extra_forcing is None else f + extra_forcing(s)
+        return rhs.kappa * rhs.shape_of(np.interp(s, nodes, y.values))
 
-    values, homog = _representation_values(spec, y.grid, forcing, ctrl, cache, homog)
+    pos = nodes > 0.0
+    values = base.copy()
+    values[pos] += forced_at(spec, forcing, nodes[pos], cache.ctrl, cache)
     return SolutionTrace(y.grid, values, {"method": "apply_F"})
-
-
-def _bielecki_weights(ts: np.ndarray, omega: float, alpha: float, ctrl) -> np.ndarray:
-    return weight_ml(alpha, omega, ts[ts >= 0.0], ctrl)
 
 
 def weighted_norm(
@@ -560,7 +554,7 @@ def weighted_norm(
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if weights is None:
-        weights = _bielecki_weights(ts, omega, alpha, ctrl)
+        weights = weight_ml(alpha, omega, ts[ts >= 0.0], ctrl)
     return float(np.max(np.abs(values[ts >= 0.0]) / weights, initial=0.0))
 
 
@@ -601,7 +595,9 @@ def picard_solve(
 ) -> tuple[SolutionTrace, dict]:
     """Banach fixed-point iteration for the nonlinear problem.
 
-    Starts from the linear solution with forcing f(t, 0), applies F until
+    The part of F that does not depend on y (``apply_F``), with
+    ``extra_forcing`` (an array-of-times callable added to f), is computed
+    once per solve.  Starts from F applied to y = 0, applies F until
     ||y_{k+1} - y_k||_omega <= tol*(1-q)/q, which bounds the weighted-norm
     distance to the fixed point by tol.  The sup-norm delta must also fall
     below tol before stopping: the weight at late times can exceed 1e7, so
@@ -618,26 +614,18 @@ def picard_solve(
         raise NonContractionError(
             f"contraction factor q={q:.6g} >= 1; increase omega or shrink the problem"
         )
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
-    rhs = spec.rhs
-    shape0 = rhs.shape_of(0.0)
-
-    def forcing0(s: np.ndarray) -> np.ndarray:
-        f = rhs.poly_part(s) + rhs.kappa * shape0
-        return f if extra_forcing is None else f + extra_forcing(s)
-
-    values, homog = _representation_values(spec, grid, forcing0, ctrl, cache)
-    y = SolutionTrace(grid, values)
+    cache = _cache_for(spec, ctrl, cache)
+    base = _base(spec, grid, extra_forcing, cache)
+    y = apply_F(spec, SolutionTrace(grid, np.zeros(grid.count)), cache.ctrl, cache, base)
     ts = grid.nodes()
-    weights = _bielecki_weights(ts, omega, spec.alpha, ctrl)
+    weights = weight_ml(spec.alpha, omega, ts[ts >= 0.0], cache.ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []
     deltas_sup: list[float] = []
     for iteration in range(1, max_iter + 1):
-        y_next = apply_F(spec, y, ctrl, cache, homog, extra_forcing)
+        y_next = apply_F(spec, y, cache.ctrl, cache, base)
         diff = y_next.values - y.values
-        delta = weighted_norm(ts, diff, omega, spec.alpha, ctrl, weights)
+        delta = weighted_norm(ts, diff, omega, spec.alpha, cache.ctrl, weights)
         deltas.append(delta)
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next

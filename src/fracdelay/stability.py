@@ -21,6 +21,7 @@ from .repsolver import (
     KernelCache,
     ProblemSpec,
     SolutionTrace,
+    _cache_for,
     _growth,
     choose_omega,
     contraction_factor,
@@ -54,27 +55,6 @@ class PerturbationSpec:
         return self.epsilon * np.vectorize(self.g_shape, otypes=[float])(t)
 
 
-def _sampled_once(pert: PerturbationSpec) -> Callable:
-    """``pert`` as a forcing that calls g_shape once per distinct array of times.
-
-    Every sweep of a Picard solve samples the forcing at the same rule nodes,
-    and the perturbation does not depend on y, so later sweeps reuse the
-    first sweep's samples.
-    """
-    seen: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def forcing(s: np.ndarray) -> np.ndarray:
-        for times, values in seen:
-            if times.shape == s.shape and np.array_equal(times, s):
-                return values
-        values = pert(s)
-        values.setflags(write=False)
-        seen.append((np.array(s), values))
-        return values
-
-    return forcing
-
-
 class UhResult(NamedTuple):
     x: SolutionTrace
     y: SolutionTrace
@@ -103,7 +83,8 @@ def perturbed_solve(
 
     Both solves share one kernel cache, so the kernel table is evaluated
     once, and the same weight omega, so lhs and rhs_bound refer to the same
-    norm.  The perturbation is sampled once, on the first sweep.
+    norm.  The perturbation enters only the per-solve base of F
+    (``picard_solve``), so it is sampled once.
     """
     ts = grid.nodes()
     g_samples = np.array([pert.g_shape(t) for t in ts[ts >= 0.0]])
@@ -112,18 +93,11 @@ def perturbed_solve(
 
     L_f = spec.rhs.lipschitz
     omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0
-    if cache is None:
-        cache = KernelCache(spec, ctrl)
+    cache = _cache_for(spec, ctrl, cache)
     x, _ = picard_solve(
-        spec,
-        grid,
-        tol=tol,
-        omega=omega,
-        ctrl=ctrl,
-        cache=cache,
-        extra_forcing=_sampled_once(pert) if pert.epsilon != 0.0 else None,
+        spec, grid, tol=tol, omega=omega, ctrl=cache.ctrl, cache=cache, extra_forcing=pert
     )
-    y, _ = picard_solve(spec, grid, tol=tol, omega=omega, ctrl=ctrl, cache=cache)
-    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, ctrl)
+    y, _ = picard_solve(spec, grid, tol=tol, omega=omega, ctrl=cache.ctrl, cache=cache)
+    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, cache.ctrl)
     rhs_bound = pert.epsilon * uh_constant(spec, L_f, omega)
     return UhResult(x, y, lhs, rhs_bound)

@@ -234,6 +234,28 @@ def test_picard_solution_matches_stepping_oracle(sin_spec, picard_run):
     )
 
 
+def test_picard_with_polynomial_forcing_matches_stepping_oracle(shared_cache):
+    # f = p(t) + kappa sin(y): the y-independent p enters the per-solve base
+    # of the closed form and the known side of each oracle step
+    spec = ProblemSpec(
+        **REFERENCE_KWARGS,
+        rhs=RhsSpec(ShiftedPolynomial(0.0, (0.3, -0.2)), kappa=0.25, shape="sin"),
+    )
+    start = time.perf_counter()
+    trace, _ = picard_solve(spec, solver_grid(spec), tol=PICARD_TOL, cache=shared_cache)
+    oracle_fine = gl_solve(spec, OracleConfig(step=2.0**-9))
+    oracle_finer = gl_solve(spec, OracleConfig(step=2.0**-10))
+    d1 = max_diff_on_positive_nodes(trace, oracle_fine)
+    d2 = max_diff_on_positive_nodes(trace, oracle_finer)
+    elapsed = time.perf_counter() - start
+    report(
+        "fixed-point solve vs stepping oracle (polynomial plus sine forcing)",
+        d1 <= 5e-2 and d1 / d2 >= 1.3 and elapsed < 120.0,
+        f"max diff {d1:.3g} at step 2^-9 (<= 0.05), halving ratio "
+        f"{d1 / d2:.2f} (>= 1.3), {elapsed:.1f}s",
+    )
+
+
 def test_richardson_oracle_matches_fine_closed_form(sin_spec, shared_cache):
     # GL is first order, so one Richardson step 2 y(tau/2) - y(tau) removes
     # the leading error; this sharpens the 5e-2 gate above, it does not

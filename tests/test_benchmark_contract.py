@@ -6,16 +6,17 @@ the benchmark run malformed.  The tracer module is loaded read-only from its
 file (it needs only the standard library and numpy).
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from fracdelay import oracle
+from fracdelay import oracle, repsolver
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.oracle import OracleConfig, gl_solve, residual_check
-from fracdelay.repsolver import ProblemSpec, RhsSpec
+from fracdelay.repsolver import ProblemSpec, RhsSpec, solver_grid
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -86,3 +87,24 @@ def test_traced_oracle_layers_run(tracing, readme_spec):
         assert status[name] == "ran"
     # one implicit step per positive node: 3 delays of 128 steps
     assert metrics["oracle.steps"]["value"] == 3 * 128
+
+
+def test_traced_picard_layers_run(tracing, readme_spec):
+    # apply_F, forced_at, homogeneous_at, convolve_kernel, weighted_norm and
+    # KernelCache.fetch_many must all be reached by a Picard solve
+    for _, module_name, _, _, _ in tracing.TARGETS:
+        importlib.import_module(module_name)
+    spec = dataclasses.replace(readme_spec, l=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        _, report = repsolver.picard_solve(spec, solver_grid(spec, 2))
+    finally:
+        tracer.uninstall()
+    assert tracer.absent == []
+    metrics, status = tracer.layer_metrics(1)
+    assert all(m["value"] is not None for m in metrics.values())
+    layers = {name: s for name, s in status.items() if name.startswith("repsolver.")}
+    assert layers and all(s == "ran" for s in layers.values()), layers
+    assert metrics["repsolver.picard_iterations"]["value"] == report["iterations"]

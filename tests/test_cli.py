@@ -118,6 +118,40 @@ def test_non_integrable_history_rejected(tmp_path):
     assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 1
 
 
+def test_bad_series_and_oracle_keys_rejected(tmp_path):
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    good = {"series": {"max_terms": 5000}}, {"newton_max": 20, "step": 1.0 / 64.0}
+    for numerics, oracle in (
+        good,
+        ({"series": {"max_terms": 1.5}}, {}),
+        ({"series": {"rel_tol": "1e-12"}}, {}),
+        ({"series": {"terms": 100}}, {}),
+        ({"series": {"max_terms": 0}}, {}),
+        ({}, {"newton_max": 2.5}),
+        ({}, {"newton_tol": True}),
+        ({}, {"tol": 1e-12}),
+    ):
+        cfg = write_config(
+            tmp_path,
+            "c.json",
+            {"problem": prob, "numerics": dict(numerics, grid_divisor=8), "oracle": oracle},
+        )
+        want = 0 if (numerics, oracle) == good else 1
+        assert cli.main(["compare", "--config", cfg]) == want, (numerics, oracle)
+
+
+def test_empty_series_section_keeps_defaults(tmp_path, capsys):
+    # "series": {} and no series section both mean the default control
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    outputs = []
+    for numerics in ({"grid_divisor": 8}, {"grid_divisor": 8, "series": {}}):
+        cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": numerics})
+        out = tmp_path / "y.csv"
+        assert cli.main(["solve", "--config", cfg, "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+
+
 def test_usage_errors():
     # unknown subcommand and unknown flag are usage errors, not crashes
     assert cli.main(["frobnicate"]) == 1

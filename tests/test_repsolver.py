@@ -36,7 +36,7 @@ from fracdelay.repsolver import (
     solver_grid,
     weighted_norm,
 )
-from fracdelay.specfun import delayed_ml_gen_many, ml_kernel
+from fracdelay.specfun import SeriesControl, delayed_ml_gen_many, ml_kernel
 
 SQUARE_HISTORY = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))  # (t+h)^2 with h=1
 
@@ -287,6 +287,46 @@ def test_kernel_cache_unknown_kernel(spec6):
         KernelCache(spec6).fetch_many("other", np.array([0.5]))
 
 
+def test_mismatched_kernel_cache_rejected(small_sin_spec):
+    # a cache holds one problem's kernels: used for another problem it would
+    # give that problem's answer (2.75 off the oracle on the README problem)
+    spec = small_sin_spec
+    grid = solver_grid(spec, 4)
+    pos = grid.nodes()[grid.nodes() > 0.0]
+    y = SolutionTrace(grid, np.zeros(grid.count))
+    ctrl = SeriesControl(rel_tol=1e-10)
+    for cache, call_ctrl in (
+        (KernelCache(make_spec(l=1, lam=-0.9, mu=0.6)), None),
+        (KernelCache(make_spec(l=1, h=0.5, phi=ShiftedPolynomial(-0.5, (1.0,)))), None),
+        (KernelCache(make_spec(l=1, alpha=1.7)), None),
+        (KernelCache(make_spec(l=1, beta=0.5)), None),
+        (KernelCache(spec, ctrl), None),
+        (KernelCache(spec), ctrl),
+    ):
+        for call in (
+            lambda: picard_solve(spec, grid, ctrl=call_ctrl, cache=cache),
+            lambda: apply_F(spec, y, call_ctrl, cache),
+            lambda: linear_solution(make_spec(l=1), grid, call_ctrl, cache),
+            lambda: homogeneous_at(spec, pos, call_ctrl, cache),
+            lambda: forced_at(spec, np.cos, pos, call_ctrl, cache),
+            lambda: convolve_kernel(spec, np.cos, 0.5, call_ctrl, cache),
+        ):
+            with pytest.raises(ValidationError, match="kernel cache"):
+                call()
+
+
+def test_kernel_cache_shared_across_data_and_rhs(small_sin_spec):
+    # phi, c1, c2 and rhs do not enter the kernels: one cache serves them all
+    grid = solver_grid(small_sin_spec, 4)
+    other = make_spec(l=3, phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 0.0, 1.0)), c1=0.5, c2=-1.0)
+    shared, _ = picard_solve(small_sin_spec, grid, cache=KernelCache(other))
+    alone, _ = picard_solve(small_sin_spec, grid)
+    assert np.array_equal(shared.values, alone.values)
+    ctrl = SeriesControl(rel_tol=1e-10)
+    tuned, _ = picard_solve(small_sin_spec, grid, ctrl=ctrl, cache=KernelCache(other, ctrl))
+    assert np.array_equal(tuned.values, picard_solve(small_sin_spec, grid, ctrl=ctrl)[0].values)
+
+
 # ---------------------------------------------------------------------------
 # phi_source / convolve_kernel
 # ---------------------------------------------------------------------------
@@ -311,7 +351,7 @@ def test_phi_source_domain(spec6):
 
 
 def test_convolve_zero_source(spec6):
-    got = convolve_kernel(spec6, "main", lambda s: 0.0, 0.0, 1.5, 1.5)
+    got = convolve_kernel(spec6, lambda s: 0.0, 1.5)
     assert got == 0.0
 
 
@@ -320,16 +360,18 @@ def test_convolve_power_integral():
     # unit source gives t^alpha / Gamma(alpha+1)
     spec = make_spec(lam=0.0, mu=0.0)
     for t in (0.8, 1.6):
-        got = convolve_kernel(spec, "main", lambda s: 1.0, 0.0, t, t)
+        got = convolve_kernel(spec, lambda s: 1.0, t)
         assert got == pytest.approx(t**spec.alpha / math.gamma(spec.alpha + 1.0), rel=1e-9)
 
 
 def test_convolve_range_errors(spec6):
-    with pytest.raises(ValidationError):
-        convolve_kernel(spec6, "main", lambda s: 1.0, 1.0, 0.5, 2.0)
-    with pytest.raises(ValidationError):
-        convolve_kernel(spec6, "main", lambda s: 1.0, 0.0, 2.5, 2.0)
-    assert convolve_kernel(spec6, "main", lambda s: 1.0, 1.0, 1.0, 2.0) == 0.0
+    # the integral over [0, t] is empty, so 0, for every t <= 0: for one
+    # time and elementwise in an array
+    assert convolve_kernel(spec6, lambda s: 1.0, 0.0) == 0.0
+    assert convolve_kernel(spec6, lambda s: 1.0, -0.5) == 0.0
+    got = convolve_kernel(spec6, lambda s: 1.0, np.array([-0.5, 0.0, 0.25]))
+    assert got[0] == 0.0 and got[1] == 0.0
+    assert got[2] == convolve_kernel(spec6, lambda s: 1.0, 0.25) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from fracdelay.repsolver import (
     picard_solve,
     solver_grid,
 )
+from fracdelay.specfun import SeriesControl
 from fracdelay.stability import PerturbationSpec, UhResult, perturbed_solve, uh_constant
 
 SQUARE_HISTORY = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))
@@ -157,7 +158,8 @@ def test_perturbation_sampled_once_per_solve():
 
 
 def test_sampled_perturbation_matches_direct_forcing():
-    # sampling once must not change a single bit of the perturbed solution
+    # the perturbed solve is picard_solve with the perturbation as extra
+    # forcing, to the last bit
     spec = make_spec()
     grid = solver_grid(spec, divisor=16)
     cache = KernelCache(spec)
@@ -168,3 +170,17 @@ def test_sampled_perturbation_matches_direct_forcing():
         spec, grid, tol=1e-8, omega=omega, cache=cache, extra_forcing=pert
     )
     assert np.array_equal(result.x.values, direct.values)
+
+
+def test_perturbed_solve_rejects_mismatched_cache():
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=8)
+    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    with pytest.raises(ValidationError, match="kernel cache"):
+        perturbed_solve(spec, pert, grid, cache=KernelCache(make_spec(mu=0.6)))
+    ctrl = SeriesControl(rel_tol=1e-10)
+    with pytest.raises(ValidationError, match="kernel cache"):
+        perturbed_solve(spec, pert, grid, cache=KernelCache(spec, ctrl))
+    # a cache with a non-default control serves the calls that name it
+    result = perturbed_solve(spec, pert, grid, ctrl=ctrl, cache=KernelCache(spec, ctrl))
+    assert 0.0 < result.lhs <= result.rhs_bound
