@@ -606,6 +606,10 @@ def picard_solve(
     deltas, ratios} (plus the sup-norm delta history).
     """
     _check_solver_grid(spec, grid)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError("picard_solve requires a finite tol > 0")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+        raise ValidationError("picard_solve requires an integer max_iter >= 1")
     L_f = spec.rhs.lipschitz
     if omega is None:
         omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0

@@ -23,12 +23,10 @@ from .repsolver import (
     SolutionTrace,
     _cache_for,
     _growth,
-    choose_omega,
     contraction_factor,
     picard_solve,
     weighted_norm,
 )
-from .specfun import SeriesControl
 
 __all__ = ["PerturbationSpec", "UhResult", "uh_constant", "perturbed_solve"]
 
@@ -74,15 +72,15 @@ def perturbed_solve(
     spec: ProblemSpec,
     pert: PerturbationSpec,
     grid: UniformGrid,
-    tol: float = 1e-8,
-    margin: float = 2.0,
-    ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
+    **options,
 ) -> UhResult:
     """Solve the perturbed and exact problems and evaluate the UH inequality.
 
-    Both solves share one kernel cache, so the kernel table is evaluated
-    once, and the same weight omega, so lhs and rhs_bound refer to the same
+    ``options`` are ``picard_solve``'s (``tol``, ``max_iter``, ``margin``,
+    ``omega``, ``ctrl``) and go to both solves.  Both share one kernel cache,
+    so the kernel table is evaluated once, and the exact solve uses the
+    weight omega of the perturbed one, so lhs and rhs_bound refer to the same
     norm.  The perturbation enters only the per-solve base of F
     (``picard_solve``), so it is sampled once.
     """
@@ -91,13 +89,10 @@ def perturbed_solve(
     if np.max(np.abs(g_samples)) > 1.0 + 1e-12:
         raise ValidationError("g_shape must satisfy sup |g_shape| <= 1 on [0, T]")
 
-    L_f = spec.rhs.lipschitz
-    omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0
-    cache = _cache_for(spec, ctrl, cache)
-    x, _ = picard_solve(
-        spec, grid, tol=tol, omega=omega, ctrl=cache.ctrl, cache=cache, extra_forcing=pert
-    )
-    y, _ = picard_solve(spec, grid, tol=tol, omega=omega, ctrl=cache.ctrl, cache=cache)
+    cache = _cache_for(spec, options.get("ctrl"), cache)
+    x, report = picard_solve(spec, grid, cache=cache, extra_forcing=pert, **options)
+    omega = report["omega"]
+    y, _ = picard_solve(spec, grid, cache=cache, **{**options, "omega": omega})
     lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, cache.ctrl)
-    rhs_bound = pert.epsilon * uh_constant(spec, L_f, omega)
+    rhs_bound = pert.epsilon * uh_constant(spec, spec.rhs.lipschitz, omega)
     return UhResult(x, y, lhs, rhs_bound)

@@ -8,6 +8,17 @@ import numpy as np
 import pytest
 
 from fracdelay import cli
+from fracdelay.fraccalc import ShiftedPolynomial
+from fracdelay.repsolver import ProblemSpec, RhsSpec, kernel_companion, kernel_main
+from fracdelay.specfun import (
+    WrightSpec,
+    delayed_ml_gen,
+    delayed_ml_piecewise,
+    g_function,
+    mittag_leffler,
+    wright_series,
+)
+from fracdelay.stability import uh_constant
 
 
 def write_config(tmp_path, name, cfg):
@@ -216,9 +227,6 @@ def test_eval_dml_gen_power(tmp_path):
 
 
 def test_eval_kernel_main_uses_problem_section(tmp_path):
-    from fracdelay.fraccalc import ShiftedPolynomial
-    from fracdelay.repsolver import ProblemSpec, kernel_main
-
     cfg = write_config(
         tmp_path,
         "eval.json",
@@ -311,6 +319,92 @@ def test_eval_csv_precision_and_line_endings(tmp_path):
     assert raw.endswith(b"\n")
     # 3 significant digits: e ~ 2.72
     assert b"2.72" in raw
+
+
+SQUARE_SPEC = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 1, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)))
+
+# function -> (params, the direct library call at t, a required param or
+# None, a real param or None)
+EVAL_CASES = {
+    "ml": ({"a": 1.3, "b": 0.7}, lambda t: mittag_leffler(1.3, 0.7, t), "b", "a"),
+    "wright": (
+        {"upper": [[1.0, 0.5]], "lower": [[1.5, 1.2], [0.5, 0.3]]},
+        lambda t: wright_series(WrightSpec(((1.0, 0.5),), ((1.5, 1.2), (0.5, 0.3))), t),
+        "lower",
+        None,
+    ),
+    "g": (
+        {"alpha": 1.6, "beta": 0.4, "mu": 0.3},
+        lambda t: g_function(1.6, 0.4, 0.0, 0.3, t),
+        "alpha",
+        "mu",
+    ),
+    "dml-piecewise": (
+        {"h": 1.0, "a": 1.2, "b": 1.6, "mu": 0.3},
+        lambda t: delayed_ml_piecewise(1.0, 1.2, 1.6, 0.3, t),
+        "h",
+        "b",
+    ),
+    "dml-gen": (
+        {"h": 1.0, "a": 1.2, "b": 1.6, "gamma": 1.6, "lambda": -0.5},
+        lambda t: delayed_ml_gen(1.0, 1.2, 1.6, 1.6, -0.5, 0.0, t),
+        "gamma",
+        "lambda",
+    ),
+    "kernel-main": ({}, lambda t: kernel_main(SQUARE_SPEC, t), None, None),
+    "kernel-companion": (
+        {"mode": "literal"},
+        lambda t: kernel_companion(SQUARE_SPEC, t, mode="literal"),
+        None,
+        None,
+    ),
+}
+
+
+def eval_config(tmp_path, function, params):
+    section = {"function": function, "params": params, "t_start": 0.25, "t_stop": 3.25}
+    return write_config(
+        tmp_path, "eval.json", {"problem": SQUARE_PROBLEM, "eval": dict(section, points=13)}
+    )
+
+
+@pytest.mark.parametrize("function", sorted(EVAL_CASES))
+def test_eval_matches_library_call(tmp_path, function):
+    # the CSV holds, to the last bit, what the library returns at each t
+    params, direct, _, _ = EVAL_CASES[function]
+    out = tmp_path / "values.csv"
+    cfg = eval_config(tmp_path, function, params)
+    assert cli.main(["eval", "--config", cfg, "--output", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header == "t,value"
+    assert len(rows) == 13
+    for t, v in rows:
+        assert v == direct(t)
+
+
+@pytest.mark.parametrize("function", sorted(EVAL_CASES))
+def test_eval_rejects_bad_params(tmp_path, function):
+    params, _, required, real = EVAL_CASES[function]
+    bad = [dict(params, frobnicate=1.0)]
+    if required is not None:
+        bad.append({k: v for k, v in params.items() if k != required})
+    if real is not None:
+        bad += [dict(params, **{real: math.nan}), dict(params, **{real: math.inf})]
+    for p in bad:
+        assert cli.main(["eval", "--config", eval_config(tmp_path, function, p)]) == 1, p
+
+
+@pytest.mark.parametrize("function", ["kernel-main", "kernel-companion"])
+def test_eval_kernels_reject_bad_problem(tmp_path, function):
+    section = {"function": function, "t_start": 0.0, "t_stop": 1.0, "points": 3}
+    for cfg in ({"eval": section}, {"problem": dict(SQUARE_PROBLEM, mu=math.nan), "eval": section}):
+        assert cli.main(["eval", "--config", write_config(tmp_path, "eval.json", cfg)]) == 1
+
+
+@pytest.mark.parametrize("pair", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
+def test_eval_wright_rejects_non_finite_pairs(tmp_path, pair):
+    params = {"upper": [pair], "lower": [[1.0, 1.0]]}
+    assert cli.main(["eval", "--config", eval_config(tmp_path, "wright", params)]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +502,36 @@ def test_solve_auto_initial_data(tmp_path, capsys):
     assert cli.main(["solve", "--config", cfg2, "--output", str(ref), "--method", "linear"]) == 0
     capsys.readouterr()
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_null_rhs_and_series_mean_absent(tmp_path, capsys):
+    # "rhs": null, "series": null and any other object given as null are
+    # read as if the key were left out
+    sin = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    for absent, null in (
+        ({"problem": SQUARE_PROBLEM}, {"problem": dict(SQUARE_PROBLEM, rhs=None)}),
+        ({"problem": sin, "numerics": {}}, {"problem": sin, "numerics": {"series": None}}),
+        ({"problem": sin}, {"problem": sin, "output": None}),
+    ):
+        outputs = []
+        for cfg in (absent, null):
+            cfg = dict(cfg, numerics=dict(cfg.get("numerics", {}), grid_divisor=8))
+            out = tmp_path / "y.csv"
+            cfg = write_config(tmp_path, "c.json", cfg)
+            assert cli.main(["solve", "--config", cfg, "--output", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "numerics", [{"picard_tol": -1.0}, {"picard_tol": 0.0}, {"max_iter": 0}, {"max_iter": -2}]
+)
+def test_bad_picard_options_rejected(tmp_path, numerics):
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    numerics = dict(numerics, grid_divisor=8)
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": numerics})
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert cli.main(["uh", "--config", cfg, "--epsilon", "0.01"]) == 1
 
 
 def test_solve_tiny_omega_fails_contraction(tmp_path):
@@ -565,3 +689,37 @@ def test_uh_small_epsilon_bound(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert summary["pass"] is True
     assert 0.0 < summary["lhs"] <= summary["rhs_bound"] + 2e-8
+
+
+def test_uh_honours_max_iter(tmp_path, capsys):
+    # one Picard iteration does not reach the tolerance: solve and uh both
+    # report a convergence failure
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    cfg = write_config(
+        tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 8, "max_iter": 1}}
+    )
+    assert cli.main(["solve", "--config", cfg]) == 2
+    assert cli.main(["uh", "--config", cfg, "--epsilon", "0.01"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_uh_honours_omega(tmp_path, capsys):
+    # the README problem on h/4 with an explicit weight: the bound is taken
+    # in that weight's norm
+    prob = dict(SQUARE_PROBLEM, l=3, rhs={"poly": [], "kappa": 0.25, "shape": "sin"})
+    numerics = {"grid_divisor": 4, "picard_tol": 1e-8, "omega": 40}
+    cfg = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": numerics})
+    assert cli.main(["uh", "--config", cfg, "--epsilon", "0.01", "--gshape", "cos2t"]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    spec = ProblemSpec(
+        1.6,
+        0.4,
+        -0.5,
+        0.3,
+        1.0,
+        3,
+        ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
+        rhs=RhsSpec(kappa=0.25, shape="sin"),
+    )
+    assert summary["rhs_bound"] == 0.01 * uh_constant(spec, 0.25, 40.0)
+    assert summary["pass"] is True

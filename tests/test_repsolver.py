@@ -605,6 +605,27 @@ def test_picard_iteration_limit(small_sin_spec):
         picard_solve(small_sin_spec, grid, tol=1e-12, max_iter=1)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"max_iter": 2.5},
+        {"max_iter": True},
+    ],
+)
+def test_picard_rejects_bad_tol_and_max_iter(small_sin_spec, options):
+    # a tolerance that can never be met, or no iteration budget, is an
+    # input error rather than a convergence failure
+    grid = solver_grid(small_sin_spec, divisor=8)
+    with pytest.raises(ValidationError):
+        picard_solve(small_sin_spec, grid, **options)
+
+
 # ---------------------------------------------------------------------------
 # determinism and values frozen from the adaptive-quadrature solver
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdelay.errors import NonContractionError, ValidationError
+from fracdelay.errors import IterationLimitError, NonContractionError, ValidationError
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.repsolver import (
     KernelCache,
@@ -184,3 +184,22 @@ def test_perturbed_solve_rejects_mismatched_cache():
     # a cache with a non-default control serves the calls that name it
     result = perturbed_solve(spec, pert, grid, ctrl=ctrl, cache=KernelCache(spec, ctrl))
     assert 0.0 < result.lhs <= result.rhs_bound
+
+
+def test_perturbed_solve_forwards_picard_options():
+    # every picard_solve option reaches both solves, and the exact solve
+    # uses the weight the perturbed one was solved in
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=8)
+    cache = KernelCache(spec)
+    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    result = perturbed_solve(spec, pert, grid, cache=cache, omega=40.0, tol=1e-9)
+    for trace in (result.x, result.y):
+        assert trace.meta["omega"] == 40.0
+        assert trace.meta["tol"] == 1e-9
+    assert result.rhs_bound == 0.01 * uh_constant(spec, spec.rhs.lipschitz, 40.0)
+    margin = perturbed_solve(spec, pert, grid, cache=cache, margin=4.0)
+    omega = choose_omega(spec, spec.rhs.lipschitz, 4.0)
+    assert margin.x.meta["omega"] == margin.y.meta["omega"] == omega
+    with pytest.raises(IterationLimitError):
+        perturbed_solve(spec, pert, grid, cache=cache, max_iter=1)
