@@ -216,8 +216,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_text(header: str, rows, precision: int) -> str:
@@ -263,11 +266,7 @@ _EVAL_FUNCTIONS = {
         ),
     ),
     "kernel-main": ({}, "", lambda p, t, c: kernel_main(p["spec"], t, c)),
-    "kernel-companion": (
-        dict(string="mode"),
-        "",
-        lambda p, t, c: kernel_companion(p["spec"], t, c, p.get("mode", "corrected")),
-    ),
+    "kernel-companion": ({}, "", lambda p, t, c: kernel_companion(p["spec"], t, c)),
 }
 
 

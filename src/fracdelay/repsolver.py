@@ -18,8 +18,9 @@ geometrically into ROOT_LEVELS + 1 pieces.  On a solver grid the kernel
 offsets of a cell depend only on its lag behind the node, so the kernel is
 tabulated once per step (KernelCache.table) and the integrals at all nodes
 are 16 discrete convolutions plus one matrix-vector product for the graded
-cell (a Toeplitz sweep).  The history part of the homogeneous term is in
-closed form, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
+cell (a Toeplitz sweep).  The homogeneous term up to its part over [0, t],
+history included, is one sum of delayed ML functions, from
+I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 """
 
 from __future__ import annotations
@@ -203,18 +204,17 @@ def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> int:
     return m
 
 
-def _kernel_params(spec: ProblemSpec, kernel: str, literal: bool = False) -> tuple:
+def _kernel_params(spec: ProblemSpec, kernel: str) -> tuple:
     """Series parameters (h, a, b, gamma, lam, mu) of the main or companion kernel.
 
     Both keep the step exponent gamma = alpha (the reading under which
     D^{alpha-2} of the companion kernel tends to 1 at the base and the delay
-    recursion closes); ``literal`` gives the companion gamma = alpha-1.
+    recursion closes).
     """
     if kernel not in ("main", "companion"):
         raise ValidationError("kernel must be 'main' or 'companion'")
     b = spec.alpha if kernel == "main" else spec.alpha - 1.0
-    gamma = spec.alpha - 1.0 if literal else spec.alpha
-    return (spec.h, spec.alpha - spec.beta, b, gamma, spec.lam, spec.mu)
+    return (spec.h, spec.alpha - spec.beta, b, spec.alpha, spec.lam, spec.mu)
 
 
 def kernel_main(spec: ProblemSpec, t: float, ctrl: SeriesControl | None = None) -> float:
@@ -222,20 +222,9 @@ def kernel_main(spec: ProblemSpec, t: float, ctrl: SeriesControl | None = None) 
     return delayed_ml_gen(*_kernel_params(spec, "main"), t, ctrl)
 
 
-def kernel_companion(
-    spec: ProblemSpec,
-    t: float,
-    ctrl: SeriesControl | None = None,
-    mode: str = "corrected",
-) -> float:
-    """Companion kernel multiplying the c2 datum: b-slot alpha-1.
-
-    ``mode="corrected"`` is the kernel of the solver; ``mode="literal"`` uses
-    gamma = alpha-1 for comparison.
-    """
-    if mode not in ("corrected", "literal"):
-        raise ValidationError("companion mode must be 'corrected' or 'literal'")
-    return delayed_ml_gen(*_kernel_params(spec, "companion", mode == "literal"), t, ctrl)
+def kernel_companion(spec: ProblemSpec, t: float, ctrl: SeriesControl | None = None) -> float:
+    """Kernel E^{h,alpha}_{alpha-beta,alpha-1}(lam, mu; t) multiplying the c2 datum."""
+    return delayed_ml_gen(*_kernel_params(spec, "companion"), t, ctrl)
 
 
 class KernelCache:
@@ -309,33 +298,29 @@ def phi_source(spec: ProblemSpec, s):
     return _history_source(spec, s)
 
 
-def _history_closed_form(spec: ProblemSpec, u: np.ndarray, ctrl: SeriesControl | None) -> np.ndarray:
-    """integral_{-h}^{u-h} K1(u - h - s) g(s) ds at offsets u = t + h >= 0.
+def _series_terms(spec: ProblemSpec) -> list[tuple[float, float]]:
+    """Nonzero (b, coef) of sum coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t+h).
 
-    The term c_m (s+h)^m of phi gives g the powers (s+h)^{m-alpha} and
-    (s+h)^{m-beta}; with I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu} it
-    contributes c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](u), a = alpha - beta.
+    First integral_{-h}^{t} K1(t - s) g(s) ds: the term c_m (s+h)^m of phi
+    gives g the powers (s+h)^{m-alpha} and (s+h)^{m-beta}; with
+    I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu} it contributes
+    c_m m! [E_{a,m+1} - lam E_{a,a+m+1}], a = alpha - beta.  Then c1 and c2.
     """
-    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
-    total = np.zeros(u.shape)
+    a = spec.alpha - spec.beta
+    terms = []
     for m, c in enumerate(spec.phi.coeffs):
         if c == 0.0:
             continue
-        terms = []
         if recip_gamma(m + 1.0 - spec.alpha) != 0.0:
             if m - spec.alpha <= -1.0:
                 raise ValidationError(
                     f"history term c_{m} (t+h)^{m} makes D^alpha phi non-integrable at -h; "
                     "the representation needs a history without it"
                 )
-            terms.append((m + 1.0, c))
-        if lam != 0.0:
-            terms.append((a + m + 1.0, -lam * c))
-        for b, coef in terms:
-            total += (coef * gamma_fn(m + 1.0)) * delayed_ml_gen_many(
-                h, a, b, gamma, lam, mu, u, ctrl
-            )
-    return total
+            terms.append((m + 1.0, c * gamma_fn(m + 1.0)))
+        terms.append((a + m + 1.0, -spec.lam * c * gamma_fn(m + 1.0)))
+    terms += [(spec.alpha, spec.c1), (spec.alpha - 1.0, spec.c2)]
+    return [(b, coef) for b, coef in terms if coef != 0.0]
 
 
 def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
@@ -439,12 +424,11 @@ def homogeneous_at(
     if np.any(ts < -spec.h - 1e-12) or np.any(ts > spec.T + 1e-12):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     cache = _cache_for(spec, ctrl, cache)
-    u = np.maximum(ts + spec.h, 0.0)
-    val = _history_closed_form(spec, u, cache.ctrl)
-    if spec.c1 != 0.0:
-        val += spec.c1 * cache.fetch_many("main", u)
-    if spec.c2 != 0.0:
-        val += spec.c2 * cache.fetch_many("companion", u)
+    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
+    u = np.maximum(ts + h, 0.0)
+    val = np.zeros(u.shape)
+    for b, coef in _series_terms(spec):
+        val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, u, cache.ctrl)
     val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache.ctrl, cache)
     return float(val) if val.ndim == 0 else val
 

@@ -352,12 +352,7 @@ EVAL_CASES = {
         "lambda",
     ),
     "kernel-main": ({}, lambda t: kernel_main(SQUARE_SPEC, t), None, None),
-    "kernel-companion": (
-        {"mode": "literal"},
-        lambda t: kernel_companion(SQUARE_SPEC, t, mode="literal"),
-        None,
-        None,
-    ),
+    "kernel-companion": ({}, lambda t: kernel_companion(SQUARE_SPEC, t), None, None),
 }
 
 
@@ -399,6 +394,13 @@ def test_eval_kernels_reject_bad_problem(tmp_path, function):
     section = {"function": function, "t_start": 0.0, "t_stop": 1.0, "points": 3}
     for cfg in ({"eval": section}, {"problem": dict(SQUARE_PROBLEM, mu=math.nan), "eval": section}):
         assert cli.main(["eval", "--config", write_config(tmp_path, "eval.json", cfg)]) == 1
+
+
+def test_eval_kernel_companion_has_no_mode(tmp_path):
+    # the companion kernel has one reading; gamma = alpha - 1 is a dml-gen call
+    for mode in ("corrected", "literal"):
+        cfg = eval_config(tmp_path, "kernel-companion", {"mode": mode})
+        assert cli.main(["eval", "--config", cfg]) == 1
 
 
 @pytest.mark.parametrize("pair", [[math.nan, 1.0], [math.inf, 1.0], [1.0, -math.inf]])
@@ -542,6 +544,31 @@ def test_solve_tiny_omega_fails_contraction(tmp_path):
         {"problem": prob, "numerics": {"grid_divisor": 8, "omega": 1e-9}},
     )
     assert cli.main(["solve", "--config", cfg, "--method", "picard"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flag, output_key",
+    [
+        ("solve", "--output", None),
+        ("solve", None, "trace"),
+        ("solve", None, "summary"),
+        ("uh", "--output", None),
+        ("uh", None, "summary"),
+    ],
+)
+def test_output_in_missing_directory_rejected(tmp_path, capsys, command, flag, output_key):
+    # an unwritable output path is an input error (exit 1), not a traceback
+    missing = str(tmp_path / "no-such-dir" / "out.txt")
+    cfg = {"problem": ZERO_PROBLEM, "numerics": {"grid_divisor": 4}}
+    if output_key is not None:
+        cfg["output"] = {output_key: missing}
+    argv = [command, "--config", write_config(tmp_path, "c.json", cfg)]
+    argv += ["--epsilon", "0.01"] if command == "uh" else []
+    argv += [flag, missing] if flag is not None else []
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from fracdelay.repsolver import (
     solver_grid,
     weighted_norm,
 )
-from fracdelay.specfun import SeriesControl, delayed_ml_gen_many, ml_kernel
+from fracdelay.specfun import SeriesControl, delayed_ml_gen, delayed_ml_gen_many, ml_kernel
 
 SQUARE_HISTORY = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))  # (t+h)^2 with h=1
 
@@ -174,21 +174,26 @@ def test_kernel_companion_mu_zero_reduction():
         assert kernel_companion(spec, t) == pytest.approx(expected, rel=1e-12)
 
 
+def _companion_gamma_alpha_minus_one(spec, t):
+    # the companion kernel read with step exponent gamma = alpha - 1
+    a = spec.alpha - spec.beta
+    return delayed_ml_gen(spec.h, a, spec.alpha - 1.0, spec.alpha - 1.0, spec.lam, spec.mu, t)
+
+
 def test_kernel_companion_modes_coincide_before_first_delay(spec6):
     # the step exponent gamma only enters the delayed (k >= 1) rows, so the
     # two readings agree on (0, h) and separate beyond the first delay
     for t in (0.2, 0.5, 0.95):
-        a = kernel_companion(spec6, t, mode="corrected")
-        b = kernel_companion(spec6, t, mode="literal")
+        a = kernel_companion(spec6, t)
+        b = _companion_gamma_alpha_minus_one(spec6, t)
         assert a == pytest.approx(b, rel=1e-14)
-    assert kernel_companion(spec6, 1.5, mode="corrected") != pytest.approx(
-        kernel_companion(spec6, 1.5, mode="literal"), rel=1e-6
+    assert kernel_companion(spec6, 1.5) != pytest.approx(
+        _companion_gamma_alpha_minus_one(spec6, 1.5), rel=1e-6
     )
-
-
-def test_kernel_companion_bad_mode(spec6):
-    with pytest.raises(ValidationError):
-        kernel_companion(spec6, 0.5, mode="verbatim")
+    # frozen values of the gamma = alpha - 1 reading
+    frozen = {0.5: 0.6072859377852654, 1.5: 0.26056884395799573, 2.5: 0.001079789819993196}
+    for t, value in frozen.items():
+        assert _companion_gamma_alpha_minus_one(spec6, t) == value
 
 
 def _fractional_integral_at_base(spec6, kernel, delta):
@@ -408,6 +413,34 @@ def test_homogeneous_uses_data_terms():
     t = 1.3
     expected = 2.0 * kernel_main(spec, t + 1.0) - 0.5 * kernel_companion(spec, t + 1.0)
     assert homogeneous_at(spec, t) == pytest.approx(expected, rel=1e-12)
+
+
+def test_homogeneous_with_every_series_term_frozen():
+    # every series term nonzero: history terms, c1, c2 and lam != 0 together
+    spec = make_spec(phi=ShiftedPolynomial(-1.0, (0.0, 0.7, 1.0, -0.2)), c1=0.4, c2=-0.3)
+    frozen = {
+        -0.55: 0.5501925197642769,
+        0.0: 1.7701427941089576,
+        0.3: 2.2265614743954765,
+        1.37: 2.8832116877163565,
+        2.0: 3.1307971607870306,
+        3.0: 3.518745689190176,
+    }
+    for t, value in frozen.items():
+        assert homogeneous_at(spec, t) == pytest.approx(value, rel=1e-15, abs=0.0)
+    values = linear_solution(spec, solver_grid(spec, divisor=16)).values
+    expected = [
+        0.0,
+        0.575,
+        1.5,
+        2.4167645273664635,
+        2.720691902461397,
+        2.936052049694179,
+        3.1307971607874276,
+        3.322235013894307,
+        3.518745689190368,
+    ]
+    assert values[::8] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_forced_trivial(spec6):
