@@ -12,7 +12,7 @@ given as null is absent) with sections `problem`, `numerics`, `oracle`,
 is UTF-8 with LF line endings and 17-significant-digit numbers, so repeated
 runs are byte-identical and suitable for golden-file testing.
 
-Exit codes: 0 success, 1 validation/usage error, 2 convergence failure.
+Exit codes: 0 success or a closed stdout, 1 validation/usage error, 2 convergence failure.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -50,10 +51,10 @@ from .stability import PerturbationSpec, perturbed_solve
 __all__ = ["main", "load_config", "cmd_eval", "cmd_solve", "cmd_compare", "cmd_uh"]
 
 _GSHAPES = {
-    "one": lambda t: 1.0,
-    "cos2t": lambda t: math.cos(2.0 * t),
-    "sin2t": lambda t: math.sin(2.0 * t),
-    "zero": lambda t: 0.0,
+    "one": np.ones_like,
+    "cos2t": lambda t: np.cos(2.0 * t),
+    "sin2t": lambda t: np.sin(2.0 * t),
+    "zero": np.zeros_like,
 }
 
 
@@ -215,6 +216,7 @@ def load_config(path: str) -> dict:
 def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
+        sys.stdout.flush()
     else:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -426,6 +428,15 @@ def main(argv=None) -> int:
     except (ConvergenceError, OverflowError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point fd 1 at devnull so that
+        # the flush at exit does not fail again, and end quietly
+        try:
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        except (AttributeError, OSError):
+            pass  # stdout was replaced by a stream without a file descriptor
+        return 0
 
 
 if __name__ == "__main__":

@@ -15,11 +15,11 @@ Convolutions integral K(t - s) source(s) ds use one fixed product rule:
 kernel kinks s = t - k*h fall on cell edges whenever step divides h, with
 the cell at s = t, where the main kernel goes like (t - s)^{alpha-1}, graded
 geometrically into ROOT_LEVELS + 1 pieces.  On a solver grid the kernel
-offsets of a cell depend only on its lag behind the node, so the kernel is
-tabulated once per step (KernelCache.table) and the integrals at all nodes
-are 16 discrete convolutions plus one matrix-vector product for the graded
-cell (a Toeplitz sweep).  The homogeneous term up to its part over [0, t],
-history included, is one sum of delayed ML functions, from
+offsets of a cell depend only on its lag behind the node, so the weights are
+tabulated once per step (KernelCache.table, the graded cell folded onto its
+16 nodes) and the integrals at all nodes are 16 discrete convolutions of the
+source at the cell nodes (a Toeplitz sweep).  The homogeneous term up to its
+part over [0, t], history included, is one sum of delayed ML functions, from
 I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
+from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import IterationLimitError, NonContractionError, ValidationError
 from .fraccalc import ShiftedPolynomial, UniformGrid, rl_derivative_poly
@@ -83,6 +83,8 @@ def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
 
 # rule on [0, 1] for the cell whose kernel offset u = t - s starts at 0
 _ROOT_X, _ROOT_W = _graded_rule()
+# Legendre polynomials P_0..P_15 at the graded nodes, on [-1, 1]
+_ROOT_LEG = legvander(2.0 * _ROOT_X - 1.0, 15)
 
 # shape name -> (value on floats, value on arrays, derivative, sup |shape'|)
 _SHAPES: dict[str, tuple[Callable, Callable, Callable[[float], float], float]] = {
@@ -231,8 +233,8 @@ class KernelCache:
     """Kernel values for the solves over one set of coefficients.
 
     ``fetch_many`` evaluates a kernel at given offsets through the vectorized
-    series.  ``table`` keeps, per cell width, the main kernel at the offsets
-    of the product rule, so every sweep of a solve, and every solve that
+    series.  ``table`` keeps, per cell width, the main kernel's weights in
+    the product rule, so every sweep of a solve, and every solve that
     shares the cache on the same grid step, reads one table.  The solvers
     accept a cache for any problem with the same kernels and series control
     and reject any other.
@@ -241,27 +243,29 @@ class KernelCache:
     def __init__(self, spec: ProblemSpec, ctrl: SeriesControl | None = None) -> None:
         self.spec = spec
         self.ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
-        self._tables: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._tables: dict[float, np.ndarray] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
         args = _kernel_params(self.spec, kernel)
         return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
 
-    def table(self, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Main kernel at the rule's offsets on lags 0..cells-1 of width ``step``.
+    def table(self, step: float, cells: int) -> np.ndarray:
+        """Kernel weights of the rule on lags 0..cells-1 of width ``step``.
 
-        Returns (root, rows): root[g] = K1(_ROOT_X[g] * step) on the graded
-        cell and rows[d, q] = K1((d + _CELL_X[q]) * step) for d >= 1; row 0,
-        the graded cell, is zero.
+        rows[d, q] = K1((d + _CELL_X[q]) * step) for d >= 1.  Row 0 is the graded
+        cell's weights against the Lagrange basis on _CELL_X, over _CELL_W:
+        sum_j (2j+1) P_j(_GL_X[q]) m_j, with m_j the graded rule's moment of K1
+        against P_j (exact, as 16-node Gauss integrates l_q P_j, degree 30).
         """
-        stored = self._tables.get(step)
-        if stored is None or len(stored[1]) < cells:
+        rows = self._tables.get(step)
+        if rows is None or len(rows) < cells:
             lags = np.arange(1, cells)[:, None] + _CELL_X
             values = self.fetch_many("main", np.concatenate((_ROOT_X, lags.ravel())) * step)
-            rows = np.zeros((cells, _CELL_X.size))
+            self._tables[step] = rows = np.empty((cells, _CELL_X.size))
+            moments = (_ROOT_W * values[: _ROOT_X.size]) @ _ROOT_LEG
+            rows[0] = legvander(_GL_X, 15) @ (np.arange(1.0, 32.0, 2.0) * moments)
             rows[1:] = values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
-            stored = self._tables[step] = (values[: _ROOT_X.size], rows)
-        return stored[0], stored[1][:cells]
+        return rows[:cells]
 
 
 def _cache_for(
@@ -360,15 +364,13 @@ def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) ->
     """integral_0^t K1(t - s) source(s) ds at the consecutive nodes ts = k*step."""
     first = round(ts[0] / step)
     n = first + ts.size - 1
-    root, rows = cache.table(step, n)
+    rows = cache.table(step, n)
     ends = np.arange(1, n + 1)[:, None]
     # cell j = [j, j+1]*step holds its rule nodes at s = (j + 1 - x) * step,
     # at kernel offset (d + x) * step from node j + 1 + d
     f_cells = _sample(source, (ends - _CELL_X) * step)
-    f_root = _sample(source, (ends - _ROOT_X) * step)
-    lagged = sum(w * np.convolve(f_cells[:, q], rows[:, q])[:n] for q, w in enumerate(_CELL_W))
-    total = step * (lagged + f_root @ (_ROOT_W * root))
-    return total[first - 1 :]
+    total = sum(w * np.convolve(f_cells[:, q], rows[:, q])[:n] for q, w in enumerate(_CELL_W))
+    return step * total[first - 1 :]
 
 
 def convolve_kernel(

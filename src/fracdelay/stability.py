@@ -35,22 +35,21 @@ __all__ = ["PerturbationSpec", "UhResult", "uh_constant", "perturbed_solve"]
 class PerturbationSpec:
     """Perturbation epsilon * g_shape(t) with sup |g_shape| <= 1 on [0, T].
 
+    ``g_shape`` maps an array of times to values, like every other source.
     epsilon = 0 is allowed and makes the perturbed and exact problems
     coincide.
     """
 
     epsilon: float
-    g_shape: Callable[[float], float]
+    g_shape: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValidationError("epsilon must be finite and nonnegative")
 
     def __call__(self, t):
-        """epsilon * g_shape(t); on an array, g_shape is applied elementwise."""
-        if np.ndim(t) == 0:
-            return self.epsilon * self.g_shape(t)
-        return self.epsilon * np.vectorize(self.g_shape, otypes=[float])(t)
+        """epsilon * g_shape(t)."""
+        return self.epsilon * self.g_shape(t)
 
 
 class UhResult(NamedTuple):
@@ -85,8 +84,7 @@ def perturbed_solve(
     (``picard_solve``), so it is sampled once.
     """
     ts = grid.nodes()
-    g_samples = np.array([pert.g_shape(t) for t in ts[ts >= 0.0]])
-    if np.max(np.abs(g_samples)) > 1.0 + 1e-12:
+    if np.max(np.abs(pert.g_shape(ts[ts >= 0.0]))) > 1.0 + 1e-12:
         raise ValidationError("g_shape must satisfy sup |g_shape| <= 1 on [0, T]")
 
     cache = _cache_for(spec, options.get("ctrl"), cache)

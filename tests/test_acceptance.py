@@ -304,7 +304,7 @@ def test_perturbation_stays_within_stability_bound(sin_spec, shared_cache):
     lhss = []
     ok_bounds = True
     for eps in (1e-2, 1e-3):
-        pert = PerturbationSpec(eps, lambda t: math.cos(2.0 * t))
+        pert = PerturbationSpec(eps, lambda t: np.cos(2.0 * t))
         result = perturbed_solve(
             sin_spec, pert, grid, tol=PICARD_TOL, cache=shared_cache
         )

@@ -9,11 +9,12 @@ file (it needs only the standard library and numpy).
 import dataclasses
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from fracdelay import oracle, repsolver
+from fracdelay import cli, oracle, repsolver
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.oracle import OracleConfig, gl_solve, residual_check
 from fracdelay.repsolver import ProblemSpec, RhsSpec, solver_grid
@@ -108,3 +109,38 @@ def test_traced_picard_layers_run(tracing, readme_spec):
     layers = {name: s for name, s in status.items() if name.startswith("repsolver.")}
     assert layers and all(s == "ran" for s in layers.values()), layers
     assert metrics["repsolver.picard_iterations"]["value"] == report["iterations"]
+
+
+def test_traced_uh_cli_layers_run(tracing, tmp_path):
+    # the uh-cli workload's layers: an in-process `uh` loads its config and
+    # makes one perturbed and one exact Picard solve inside perturbed_solve
+    for _, module_name, _, _, _ in tracing.TARGETS:
+        importlib.import_module(module_name)
+    problem = {
+        "alpha": 1.6,
+        "beta": 0.4,
+        "lambda": -0.5,
+        "mu": 0.3,
+        "h": 1.0,
+        "l": 1,
+        "phi": [0.0, 0.0, 1.0],
+        "rhs": {"kappa": 0.25, "shape": "sin"},
+    }
+    config = tmp_path / "uh.json"
+    config.write_text(json.dumps({"problem": problem, "numerics": {"grid_divisor": 2}}))
+    argv = ["uh", "--config", str(config), "--epsilon", "1e-2", "--gshape", "cos2t"]
+    argv += ["--output", str(tmp_path / "summary.json")]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.op = 0
+        # through the module attribute, which the tracer has replaced
+        rc = cli.main(argv)
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert tracer.absent == []
+    metrics, status = tracer.layer_metrics(1)
+    layers = ("stability.perturbed_solve_s", "stability.solves", "cli.load_config_s", "cli.self_s")
+    assert {name: status[name] for name in layers} == dict.fromkeys(layers, "ran")
+    assert metrics["stability.solves"]["value"] == 2

@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface, run in-process via
 ``main(argv)`` with JSON configs in a temp directory."""
 
+import errno
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,6 +575,38 @@ def test_output_in_missing_directory_rejected(tmp_path, capsys, command, flag, o
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write")
     assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys):
+    # `solve ... | head -1`: the reader has closed stdout before the CSV is
+    # written; that ends the run with exit 0 and nothing on stderr
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    cfg = write_config(
+        tmp_path, "c.json", {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 8}}
+    )
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # the same through a real pipe, whose file descriptor main points at
+    # os.devnull so that the flush at interpreter exit does not fail again;
+    # the CSV (4097 rows) is larger than a pipe buffer
+    cfg = write_config(
+        tmp_path, "c.json", {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 2048}}
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-m", "fracdelay.cli", "solve", "--config", cfg, "--method", "linear"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"t,y\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 # ---------------------------------------------------------------------------

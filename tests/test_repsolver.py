@@ -481,20 +481,26 @@ def test_linear_solution_history_exact(spec6):
 
 
 def test_linear_solution_forced_power():
-    # phi = 0, lam = mu = 0, f(t) = 1: the solution is t^alpha/Gamma(alpha+1)
-    spec = make_spec(
-        lam=0.0,
-        mu=0.0,
-        l=1,
-        phi=ShiftedPolynomial(-1.0, ()),
-        rhs=RhsSpec(poly_part=ShiftedPolynomial(0.0, (1.0,))),
-    )
-    grid = solver_grid(spec, divisor=16)
-    trace = linear_solution(spec, grid)
-    ts = grid.nodes()
-    pos = ts > 0
-    expected = ts[pos] ** spec.alpha / math.gamma(spec.alpha + 1.0)
-    assert np.max(np.abs(trace.values[pos] - expected)) <= 1e-8
+    # phi = 0, lam = mu = 0, f(t) = t^m: the solution is
+    # Gamma(m+1) t^{alpha+m} / Gamma(alpha+m+1); for m >= 1 the source varies
+    # over the graded cell at s = t, whose weights the kernel table folds
+    # onto the cell nodes
+    cases = [(0, 16, 1e-8)] + [(m, divisor, 1e-13) for m in (1, 2, 3) for divisor in (2, 16)]
+    for m, divisor, tol in cases:
+        spec = make_spec(
+            lam=0.0,
+            mu=0.0,
+            l=1,
+            phi=ShiftedPolynomial(-1.0, ()),
+            rhs=RhsSpec(poly_part=ShiftedPolynomial(0.0, (0.0,) * m + (1.0,))),
+        )
+        grid = solver_grid(spec, divisor=divisor)
+        trace = linear_solution(spec, grid)
+        ts = grid.nodes()
+        pos = ts > 0
+        power = spec.alpha + m
+        expected = math.gamma(m + 1.0) * ts[pos] ** power / math.gamma(power + 1.0)
+        assert np.max(np.abs(trace.values[pos] - expected)) <= tol, (m, divisor)
 
 
 def test_linear_solution_grid_mismatch(spec6):
@@ -746,6 +752,22 @@ def test_single_times_match_grid_sweep(spec6, divisor):
     tol = 1e-13 if divisor == 8 else 1e-10
     assert np.max(np.abs(swept_f - single_f)) <= tol
     assert np.max(np.abs(swept_h - single_h)) <= tol
+
+
+def test_sweep_reads_source_only_at_cell_nodes(spec6):
+    # product integration: the graded cell at s = t is folded into the kernel
+    # table, so a sweep over n nodes reads its source at the 16 rule nodes of
+    # each of its n cells and nowhere else
+    nodes = solver_grid(spec6, divisor=8).nodes()
+    pos = nodes[nodes > 0.0]
+    sampled = []
+
+    def forcing(s):
+        sampled.append(np.size(s))
+        return np.cos(2.0 * s)
+
+    forced_at(spec6, forcing, pos)
+    assert sum(sampled) == 16 * pos.size
 
 
 def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):

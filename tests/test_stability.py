@@ -48,7 +48,7 @@ def test_perturbation_negative_epsilon():
 
 
 def test_perturbation_evaluation():
-    pert = PerturbationSpec(epsilon=0.01, g_shape=lambda t: math.cos(2.0 * t))
+    pert = PerturbationSpec(epsilon=0.01, g_shape=lambda t: np.cos(2.0 * t))
     assert pert(0.0) == pytest.approx(0.01)
     assert pert(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
 
@@ -102,7 +102,7 @@ def test_uh_constant_monotone_in_problem_size():
 def test_perturbed_solve_rejects_large_shape():
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
-    pert = PerturbationSpec(epsilon=0.01, g_shape=lambda t: 2.0 * math.cos(t))
+    pert = PerturbationSpec(epsilon=0.01, g_shape=lambda t: 2.0 * np.cos(t))
     with pytest.raises(ValidationError):
         perturbed_solve(spec, pert, grid)
 
@@ -110,7 +110,7 @@ def test_perturbed_solve_rejects_large_shape():
 def test_perturbed_solve_zero_epsilon():
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
-    pert = PerturbationSpec(epsilon=0.0, g_shape=lambda t: math.cos(2.0 * t))
+    pert = PerturbationSpec(epsilon=0.0, g_shape=lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid)
     assert isinstance(result, UhResult)
     assert result.rhs_bound == 0.0
@@ -125,7 +125,7 @@ def test_perturbed_solve_bound_and_linear_scaling():
     tol = 1e-8
     lhss = []
     for eps in (1e-2, 1e-3):
-        pert = PerturbationSpec(epsilon=eps, g_shape=lambda t: math.cos(2.0 * t))
+        pert = PerturbationSpec(epsilon=eps, g_shape=lambda t: np.cos(2.0 * t))
         result = perturbed_solve(spec, pert, grid, tol=tol, cache=cache)
         # the distance bound, with slack for the two iteration tolerances
         assert result.lhs <= result.rhs_bound + 2.0 * tol
@@ -136,22 +136,22 @@ def test_perturbed_solve_bound_and_linear_scaling():
 
 
 def test_perturbation_sampled_once_per_solve():
-    # the forcing does not depend on y, so the number of g_shape calls must
-    # not grow with the number of Picard iterations
+    # the forcing does not depend on y, so the number of points g_shape
+    # samples must not grow with the number of Picard iterations
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
     cache = KernelCache(spec)
     counts, iterations = [], []
     for tol in (1e-3, 1e-10):
-        calls = []
+        sampled = []
 
         def g_shape(t):
-            calls.append(t)
-            return math.cos(2.0 * t)
+            sampled.append(np.size(t))
+            return np.cos(2.0 * t)
 
         pert = PerturbationSpec(0.01, g_shape)
         result = perturbed_solve(spec, pert, grid, tol=tol, cache=cache)
-        counts.append(len(calls))
+        counts.append(sum(sampled))
         iterations.append(result.x.meta["iterations"])
     assert iterations[1] > iterations[0]
     assert counts[0] == counts[1]
@@ -163,7 +163,7 @@ def test_sampled_perturbation_matches_direct_forcing():
     spec = make_spec()
     grid = solver_grid(spec, divisor=16)
     cache = KernelCache(spec)
-    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, tol=1e-8, cache=cache)
     omega = choose_omega(spec, spec.rhs.lipschitz, 2.0)
     direct, _ = picard_solve(
@@ -175,7 +175,7 @@ def test_sampled_perturbation_matches_direct_forcing():
 def test_perturbed_solve_rejects_mismatched_cache():
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
-    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     with pytest.raises(ValidationError, match="kernel cache"):
         perturbed_solve(spec, pert, grid, cache=KernelCache(make_spec(mu=0.6)))
     ctrl = SeriesControl(rel_tol=1e-10)
@@ -192,7 +192,7 @@ def test_perturbed_solve_forwards_picard_options():
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
     cache = KernelCache(spec)
-    pert = PerturbationSpec(0.01, lambda t: math.cos(2.0 * t))
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, cache=cache, omega=40.0, tol=1e-9)
     for trace in (result.x, result.y):
         assert trace.meta["omega"] == 40.0
