@@ -360,15 +360,19 @@ def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
     return step
 
 
+def _cell_nodes(step: float, cells: int) -> np.ndarray:
+    """Rule nodes of the cells [j, j+1]*step, j < cells, one row per cell."""
+    # cell j holds its rule nodes at s = (j + 1 - x) * step, at kernel
+    # offset (d + x) * step from node j + 1 + d
+    return (np.arange(1, cells + 1)[:, None] - _CELL_X) * step
+
+
 def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) -> np.ndarray:
     """integral_0^t K1(t - s) source(s) ds at the consecutive nodes ts = k*step."""
     first = round(ts[0] / step)
     n = first + ts.size - 1
     rows = cache.table(step, n)
-    ends = np.arange(1, n + 1)[:, None]
-    # cell j = [j, j+1]*step holds its rule nodes at s = (j + 1 - x) * step,
-    # at kernel offset (d + x) * step from node j + 1 + d
-    f_cells = _sample(source, (ends - _CELL_X) * step)
+    f_cells = _sample(source, _cell_nodes(step, n))
     total = sum(w * np.convolve(f_cells[:, q], rows[:, q])[:n] for q, w in enumerate(_CELL_W))
     return step * total[first - 1 :]
 

@@ -22,7 +22,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln as _gammaln_sp, gammasgn as _gammasgn
 
 from .errors import PoleError, SeriesConvergenceError, ValidationError
 
@@ -99,6 +98,19 @@ def _is_nonpositive_integer(x: float) -> bool:
     return n <= 0 and abs(x - n) <= _EXP_SNAP * max(1.0, abs(x))
 
 
+def _gamma_sign(x: float) -> float:
+    """Sign of Gamma(x) off the poles: negative exactly when x < 0 and floor(x) is odd."""
+    return -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+
+
+def _lgamma(x: float) -> float:
+    """log|Gamma(x)| off the poles; inf where that overflows (x beyond ~2.5e305)."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
+
+
 def gamma_fn(x: float) -> float:
     """Gamma(x) for real x away from the poles at 0, -1, -2, ...
 
@@ -122,7 +134,7 @@ def recip_gamma(x: float) -> float:
         lg = math.lgamma(x)
         return math.exp(-lg) if lg < _LOG_MAX else 0.0
     # negative non-integer: |Gamma| via lgamma, sign via reflection count
-    return _gammasgn(x) * math.exp(-math.lgamma(x))
+    return _gamma_sign(x) * math.exp(-math.lgamma(x))
 
 
 def mittag_leffler(a: float, b: float, z: float, ctrl: SeriesControl | None = None) -> float:
@@ -182,15 +194,15 @@ def wright_series(spec: WrightSpec, z: float, ctrl: SeriesControl | None = None)
             arg = lam_l + al_l * k
             if _is_nonpositive_integer(arg):
                 raise PoleError(f"wright_series numerator pole at k={k}, argument {arg}")
-            logmag += float(_gammaln_sp(arg))
-            sign *= float(_gammasgn(arg))
+            logmag += _lgamma(arg)
+            sign *= _gamma_sign(arg)
         for b_j, be_j in spec.lower_params:
             arg = b_j + be_j * k
             if _is_nonpositive_integer(arg):
                 pole_term = True
                 break
-            logmag -= float(_gammaln_sp(arg))
-            sign *= float(_gammasgn(arg))
+            logmag -= _lgamma(arg)
+            sign *= _gamma_sign(arg)
         if pole_term:
             term = 0.0
         else:

@@ -22,6 +22,8 @@ from .repsolver import (
     ProblemSpec,
     SolutionTrace,
     _cache_for,
+    _cell_nodes,
+    _check_solver_grid,
     _growth,
     contraction_factor,
     picard_solve,
@@ -83,8 +85,12 @@ def perturbed_solve(
     norm.  The perturbation enters only the per-solve base of F
     (``picard_solve``), so it is sampled once.
     """
+    # sup |g_shape| <= 1 is checked at the grid nodes and at the cell nodes
+    # where the forced-term sweep samples g_shape
+    m = _check_solver_grid(spec, grid)
     ts = grid.nodes()
-    if np.max(np.abs(pert.g_shape(ts[ts >= 0.0]))) > 1.0 + 1e-12:
+    points = np.concatenate((ts[ts >= 0.0], _cell_nodes(spec.h / m, m * spec.l).ravel()))
+    if np.max(np.abs(pert.g_shape(points))) > 1.0 + 1e-12:
         raise ValidationError("g_shape must satisfy sup |g_shape| <= 1 on [0, T]")
 
     cache = _cache_for(spec, options.get("ctrl"), cache)

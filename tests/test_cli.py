@@ -788,3 +788,43 @@ def test_uh_honours_omega(tmp_path, capsys):
     )
     assert summary["rhs_bound"] == 0.01 * uh_constant(spec, 0.25, 40.0)
     assert summary["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# import cost
+# ---------------------------------------------------------------------------
+
+_NO_SCIPY_RUN = """
+import sys
+import fracdelay
+from fracdelay import cli
+uh, wright, out = sys.argv[1:]
+assert cli.main(["uh", "--config", uh, "--epsilon", "0.01", "--gshape", "cos2t"]) == 0
+assert cli.main(["eval", "--config", wright, "--output", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # scipy.special alone costs about 0.2 s and 24 MB at import; the package
+    # needs only numpy and math
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    uh = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 2}})
+    wright = write_config(
+        tmp_path,
+        "eval.json",
+        {
+            "eval": {
+                "function": "wright",
+                "params": {"upper": [[-0.5, 0.3]], "lower": [[-1.7, 0.9]]},
+                "t_start": -1.0,
+                "t_stop": 1.0,
+                "points": 5,
+            }
+        },
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-c", _NO_SCIPY_RUN, uh, wright, str(tmp_path / "w.csv")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

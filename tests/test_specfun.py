@@ -109,7 +109,7 @@ def test_gamma_negative_noninteger():
 
 
 def test_recip_gamma_zero_at_poles():
-    for x in (0.0, -1.0, -2.0, -30.0):
+    for x in (0.0, -1.0, -2.0, -3.0, -4.0, -5.0, -6.0, -7.0, -30.0):
         assert recip_gamma(x) == 0.0
 
 
@@ -119,6 +119,13 @@ def test_recip_gamma_matches_gamma():
         assert recip_gamma(float(x)) == pytest.approx(1.0 / math.gamma(float(x)), rel=1e-13)
     # negative non-integers keep their sign
     assert recip_gamma(-0.5) == pytest.approx(1.0 / (-2.0 * math.sqrt(math.pi)), rel=1e-12)
+    # Gamma(x) < 0 exactly when x < 0 and floor(x) is odd; the magnitude is
+    # exp(-lgamma(x)), good to about |lgamma(x)| ulps (3.5e-15 at most here)
+    for x in np.linspace(-8.0, 0.0, 801)[1:-1]:
+        if abs(x - round(x)) > 1e-9:
+            expected = 1.0 / math.gamma(float(x))
+            assert math.copysign(1.0, recip_gamma(float(x))) == math.copysign(1.0, expected)
+            assert recip_gamma(float(x)) == pytest.approx(expected, rel=1e-14)
 
 
 def test_recip_gamma_huge_argument_underflows_to_zero():
@@ -289,6 +296,43 @@ def test_wright_series_denominator_pole_drops_term():
     spec = WrightSpec(upper_params=[(1.0, 1.0)], lower_params=[(0.0, 1.0)])
     for z in (0.4, 1.5):
         assert wright_series(spec, z) == pytest.approx(z * math.exp(z), rel=1e-11)
+
+
+# negative-argument upper and lower pairs, at z = 0.7, -1.3, 2.5; the last
+# lower pair has a gamma pole at k = 3
+WRIGHT_NEGATIVE_CASES = [
+    (
+        [(-0.5, 0.3)],
+        [(-1.7, 0.9)],
+        (-0.31385593810878853, -2.5525141873084856, 12.791258433689281),
+    ),
+    (
+        [(-2.3, 0.5)],
+        [(-3.6, 0.7), (0.4, 0.6)],
+        (-4.34161826255883, -1.0440856189508172, -17.141404340380856),
+    ),
+    (
+        [(-1.25, 1.0), (-0.6, 0.4)],
+        [(-4.5, 1.5)],
+        (242.1405306941204, 243.71100909749924, 254.0786267090297),
+    ),
+]
+
+
+@pytest.mark.parametrize("upper, lower, expected", WRIGHT_NEGATIVE_CASES)
+def test_wright_series_negative_arguments_frozen(upper, lower, expected):
+    # frozen from the scipy.special gammaln/gammasgn implementation
+    spec = WrightSpec(upper_params=upper, lower_params=lower)
+    for z, value in zip((0.7, -1.3, 2.5), expected):
+        assert wright_series(spec, z) == pytest.approx(value, rel=1e-14)
+
+
+def test_wright_series_huge_gamma_argument():
+    # log Gamma(1e306) overflows a float: as a denominator it makes every
+    # term 0, as a numerator it overflows the first term
+    assert wright_series(WrightSpec([], [(1e306, 1.0)]), 0.5) == 0.0
+    with pytest.raises(OverflowError, match="term overflow"):
+        wright_series(WrightSpec([(1e306, 1.0)], [(1.0, 1.0), (1.0, 1.0)]), 0.5)
 
 
 # ---------------------------------------------------------------------------

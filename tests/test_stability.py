@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdelay import cli
 from fracdelay.errors import IterationLimitError, NonContractionError, ValidationError
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.repsolver import (
@@ -105,6 +106,19 @@ def test_perturbed_solve_rejects_large_shape():
     pert = PerturbationSpec(epsilon=0.01, g_shape=lambda t: 2.0 * np.cos(t))
     with pytest.raises(ValidationError):
         perturbed_solve(spec, pert, grid)
+
+
+def test_perturbed_solve_checks_shape_where_the_sweep_samples():
+    # 5 sin(8 pi t) vanishes at the nodes of h/4 but reaches 4.96 at the
+    # cell nodes where the forced-term sweep samples it
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=4)
+    spiky = PerturbationSpec(0.01, lambda t: 5.0 * np.sin(8.0 * np.pi * t))
+    with pytest.raises(ValidationError, match="sup"):
+        perturbed_solve(spec, spiky, grid)
+    for g_shape in (lambda t: np.cos(2.0 * t), *cli._GSHAPES.values()):
+        result = perturbed_solve(spec, PerturbationSpec(0.01, g_shape), grid)
+        assert result.lhs <= result.rhs_bound + 2.0 * result.x.meta["tol"]
 
 
 def test_perturbed_solve_zero_epsilon():
