@@ -13,117 +13,23 @@ stepping oracle provides an independent check; Ulam-Hyers stability is
 verified with an explicit constant.
 """
 
-from .errors import (
-    ConvergenceError,
-    FracDelayError,
-    IterationLimitError,
-    NewtonError,
-    NonContractionError,
-    PoleError,
-    SeriesConvergenceError,
-    ValidationError,
-)
-from .fraccalc import (
-    ShiftedPolynomial,
-    UniformGrid,
-    derive_initial_data,
-    gl_derivative,
-    gl_weights,
-    rl_derivative_poly,
-    rl_derivative_power,
-    rl_integral_poly,
-)
-from .oracle import OracleConfig, ResidualReport, gl_solve, residual_check
-from .repsolver import (
-    KernelCache,
-    ProblemSpec,
-    RhsSpec,
-    SolutionTrace,
-    apply_F,
-    choose_omega,
-    contraction_factor,
-    convolve_kernel,
-    forced_at,
-    homogeneous_at,
-    kernel_companion,
-    kernel_main,
-    linear_solution,
-    phi_source,
-    picard_solve,
-    solver_grid,
-    weighted_norm,
-)
-from .specfun import (
-    DEFAULT_CONTROL,
-    SeriesControl,
-    WrightSpec,
-    delayed_ml_gen,
-    delayed_ml_piecewise,
-    g_function,
-    gamma_fn,
-    mittag_leffler,
-    ml_kernel,
-    recip_gamma,
-    weight_ml,
-    wright_series,
-)
-from .stability import PerturbationSpec, UhResult, perturbed_solve, uh_constant
+from . import errors, fraccalc, oracle, repsolver, specfun, stability
+from .errors import *
+from .fraccalc import *
+from .oracle import *
+from .repsolver import *
+from .specfun import *
+from .stability import *
 
 __version__ = "0.1.0"
 
+# each public name is declared once, in its module's __all__
 __all__ = [
-    "ConvergenceError",
-    "FracDelayError",
-    "IterationLimitError",
-    "NewtonError",
-    "NonContractionError",
-    "PoleError",
-    "SeriesConvergenceError",
-    "ValidationError",
-    "ShiftedPolynomial",
-    "UniformGrid",
-    "derive_initial_data",
-    "gl_derivative",
-    "gl_weights",
-    "rl_derivative_poly",
-    "rl_derivative_power",
-    "rl_integral_poly",
-    "OracleConfig",
-    "ResidualReport",
-    "gl_solve",
-    "residual_check",
-    "KernelCache",
-    "ProblemSpec",
-    "RhsSpec",
-    "SolutionTrace",
-    "apply_F",
-    "choose_omega",
-    "contraction_factor",
-    "convolve_kernel",
-    "forced_at",
-    "homogeneous_at",
-    "kernel_companion",
-    "kernel_main",
-    "linear_solution",
-    "phi_source",
-    "picard_solve",
-    "solver_grid",
-    "weighted_norm",
-    "DEFAULT_CONTROL",
-    "SeriesControl",
-    "WrightSpec",
-    "delayed_ml_gen",
-    "delayed_ml_piecewise",
-    "g_function",
-    "gamma_fn",
-    "mittag_leffler",
-    "ml_kernel",
-    "recip_gamma",
-    "weight_ml",
-    "wright_series",
-    "PerturbationSpec",
-    "UhResult",
-    "perturbed_solve",
-    "uh_constant",
+    *errors.__all__,
+    *fraccalc.__all__,
+    *oracle.__all__,
+    *repsolver.__all__,
+    *specfun.__all__,
+    *stability.__all__,
     "__version__",
 ]

@@ -6,6 +6,17 @@ process failed to converge, CLI exit code 2).  Built-in ``OverflowError`` is
 treated like a convergence failure by the CLI.
 """
 
+__all__ = [
+    "FracDelayError",
+    "ValidationError",
+    "PoleError",
+    "ConvergenceError",
+    "SeriesConvergenceError",
+    "NonContractionError",
+    "IterationLimitError",
+    "NewtonError",
+]
+
 
 class FracDelayError(Exception):
     """Base class for all package-specific errors."""

@@ -394,6 +394,8 @@ def convolve_kernel(
     """
     cache = _cache_for(spec, ctrl, cache)
     ts = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("convolve_kernel requires finite t")
     if ts.ndim == 0:
         if not ts > 0.0:
             return 0.0
@@ -427,7 +429,7 @@ def homogeneous_at(
     ``convolve_kernel`` for the arrays that are swept together).
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < -spec.h - 1e-12) or np.any(ts > spec.T + 1e-12):
+    if not np.all((ts >= -spec.h - 1e-12) & (ts <= spec.T + 1e-12)):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     cache = _cache_for(spec, ctrl, cache)
     h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
@@ -452,7 +454,7 @@ def forced_at(
     result) or an array of times, as for ``homogeneous_at``.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < -1e-12) or np.any(ts > spec.T + 1e-12):
+    if not np.all((ts >= -1e-12) & (ts <= spec.T + 1e-12)):
         raise ValidationError("forced_at requires t in [0, T]")
     return convolve_kernel(spec, forcing, ts, ctrl, cache)
 

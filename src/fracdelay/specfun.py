@@ -131,7 +131,7 @@ def recip_gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     if x > 0:
-        lg = math.lgamma(x)
+        lg = _lgamma(x)
         return math.exp(-lg) if lg < _LOG_MAX else 0.0
     # negative non-integer: |Gamma| via lgamma, sign via reflection count
     return _gamma_sign(x) * math.exp(-math.lgamma(x))
@@ -144,6 +144,8 @@ def mittag_leffler(a: float, b: float, z: float, ctrl: SeriesControl | None = No
     """
     if not (a > 0 and b > 0):
         raise ValidationError("mittag_leffler requires a > 0 and b > 0")
+    if not math.isfinite(z):
+        raise ValidationError("mittag_leffler requires a finite z")
     return float(_delayed_series(1.0, a, b, 1.0, z, 0.0, 1.0, ctrl))
 
 
@@ -161,8 +163,8 @@ def weight_ml(alpha: float, omega: float, t, ctrl: SeriesControl | None = None):
     delayed one with mu = 0, b = 1 and lam = omega.
     """
     ts = np.asarray(t, dtype=float)
-    if np.any(ts < 0):
-        raise ValidationError("weight_ml requires t >= 0")
+    if not np.all((ts >= 0) & (ts < math.inf)):
+        raise ValidationError("weight_ml requires finite t >= 0")
     if omega <= 0:
         raise ValidationError("weight_ml requires omega > 0")
     if not alpha > 0:
@@ -466,4 +468,6 @@ def delayed_ml_gen_many(
     """``delayed_ml_gen`` at every point of the array ``ts`` (same shape)."""
     if not (h > 0 and a > 0 and b > 0 and gamma > 0):
         raise ValidationError("delayed_ml_gen requires h, a, b, gamma > 0")
+    if not np.all(np.isfinite(ts)):
+        raise ValidationError("delayed_ml_gen requires finite t")
     return _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl)

@@ -36,7 +36,14 @@ from fracdelay.repsolver import (
     solver_grid,
     weighted_norm,
 )
-from fracdelay.specfun import SeriesControl, delayed_ml_gen, delayed_ml_gen_many, ml_kernel
+from fracdelay.specfun import (
+    SeriesControl,
+    delayed_ml_gen,
+    delayed_ml_gen_many,
+    mittag_leffler,
+    ml_kernel,
+    weight_ml,
+)
 
 SQUARE_HISTORY = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))  # (t+h)^2 with h=1
 
@@ -811,3 +818,21 @@ def test_constant_history_allowed_at_alpha_two():
     spec = make_spec(alpha=2.0, phi=ShiftedPolynomial(-1.0, (1.0,)), c2=1.0)
     for t in (-0.75, -0.3, 0.0):
         assert homogeneous_at(spec, t) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected(spec6, t):
+    one = np.ones_like
+    calls = [
+        lambda: forced_at(spec6, one, t),
+        lambda: convolve_kernel(spec6, one, t),
+        lambda: convolve_kernel(spec6, one, np.array([0.5, t])),
+        lambda: homogeneous_at(spec6, t),
+        lambda: delayed_ml_gen(1.0, 1.2, 1.6, 1.6, -0.5, 0.3, t),
+        lambda: delayed_ml_gen_many(1.0, 1.2, 1.6, 1.6, -0.5, 0.3, np.array([0.5, t])),
+        lambda: weight_ml(1.6, 2.0, t),
+        lambda: mittag_leffler(1.2, 1.0, t),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()

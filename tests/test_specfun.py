@@ -130,6 +130,15 @@ def test_recip_gamma_matches_gamma():
 
 def test_recip_gamma_huge_argument_underflows_to_zero():
     assert recip_gamma(500.0) == 0.0
+    # log Gamma itself overflows beyond ~2.5e305
+    assert recip_gamma(1e306) == 0.0
+
+
+def test_recip_gamma_positive_values_unchanged():
+    # on (0, 170) the value is exp(-lgamma(x)), bit for bit
+    rng = np.random.default_rng(1306)
+    for x in rng.uniform(0.0, 170.0, size=1000):
+        assert recip_gamma(float(x)) == math.exp(-math.lgamma(float(x)))
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,15 @@ def test_perturbation_evaluation():
     assert pert(math.pi / 4) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_perturbation_checks_shape_where_evaluated():
+    ts = np.linspace(0.0, 3.0, 97)
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
+    assert np.array_equal(pert(ts), 0.01 * np.cos(2.0 * ts))
+    # epsilon = 0 still checks the shape
+    with pytest.raises(ValidationError, match="sup"):
+        PerturbationSpec(0.0, lambda t: 2.0 * np.cos(t))(np.array([0.0]))
+
+
 # ---------------------------------------------------------------------------
 # uh_constant
 # ---------------------------------------------------------------------------
@@ -119,6 +128,16 @@ def test_perturbed_solve_checks_shape_where_the_sweep_samples():
     for g_shape in (lambda t: np.cos(2.0 * t), *cli._GSHAPES.values()):
         result = perturbed_solve(spec, PerturbationSpec(0.01, g_shape), grid)
         assert result.lhs <= result.rhs_bound + 2.0 * result.x.meta["tol"]
+
+
+def test_perturbed_solve_checks_shape_at_single_time_rule_nodes():
+    # at grid divisor 1 with l = 1 the one positive node is integrated by the
+    # single-time rule (cells h/8 wide, the one at s = t graded), whose nodes
+    # in (0.9, 0.93) read the spike; the grid nodes and sweep cells miss it
+    spec = make_spec()
+    spike = PerturbationSpec(0.01, lambda t: np.where((t > 0.9) & (t < 0.93), 5.0, 0.0))
+    with pytest.raises(ValidationError, match="sup"):
+        perturbed_solve(spec, spike, solver_grid(spec, divisor=1))
 
 
 def test_perturbed_solve_zero_epsilon():
