@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .fraccalc import ShiftedPolynomial, derive_initial_data
+from .fraccalc import ShiftedPolynomial, _whole_steps, derive_initial_data
 from .oracle import OracleConfig, gl_solve
 from .repsolver import (
     ProblemSpec,
@@ -296,13 +296,11 @@ def cmd_eval(cfg: dict, output: str | None) -> int:
     return 0
 
 
-def _solve_closed(spec: ProblemSpec, cfg: dict, method: str):
-    """Run the requested closed-form solver; returns (trace, summary)."""
+def _solve_closed(spec: ProblemSpec, cfg: dict):
+    """Linear closed form for rhs shape "zero", else Picard; returns (trace, summary)."""
     grid_options, options = _parse_numerics(cfg)
     grid = solver_grid(spec, **grid_options)
-    if method == "linear":
-        if spec.rhs.shape != "zero":
-            raise ValidationError("method 'linear' requires rhs shape 'zero'")
+    if spec.rhs.shape == "zero":
         trace = linear_solution(spec, grid, options["ctrl"])
         summary = {"method": "linear", "q": 0.0, "omega": None, "iterations": 0, "final_delta": 0.0}
         return trace, summary
@@ -317,10 +315,10 @@ def _solve_closed(spec: ProblemSpec, cfg: dict, method: str):
     return trace, summary
 
 
-def cmd_solve(cfg: dict, output: str | None, method: str) -> int:
+def cmd_solve(cfg: dict, output: str | None) -> int:
     spec = _parse_problem(cfg)
     out = _parse_output(cfg)
-    trace, summary = _solve_closed(spec, cfg, method)
+    trace, summary = _solve_closed(spec, cfg)
     rows = list(zip(trace.grid.nodes(), trace.values))
     _write_text(output or out["trace"], _csv_text("t,y", rows, out["precision"]))
     _emit_summary(summary, out["summary"])
@@ -330,8 +328,7 @@ def cmd_solve(cfg: dict, output: str | None, method: str) -> int:
 def cmd_compare(cfg: dict, output: str | None, oracle_step: float | None) -> int:
     spec = _parse_problem(cfg)
     out = _parse_output(cfg)
-    method = "linear" if spec.rhs.shape == "zero" else "picard"
-    closed, _ = _solve_closed(spec, cfg, method)
+    closed, _ = _solve_closed(spec, cfg)
 
     ocfg = _parse_oracle(cfg, spec.h)
     if oracle_step is not None:
@@ -340,14 +337,13 @@ def cmd_compare(cfg: dict, output: str | None, oracle_step: float | None) -> int
         ocfg = OracleConfig(oracle_step, ocfg.newton_tol, ocfg.newton_max)
     oracle = gl_solve(spec, ocfg)
 
-    ratio = closed.grid.step / oracle.grid.step
-    stride = round(ratio)
-    if stride < 1 or abs(stride - ratio) > 1e-9:
+    stride = _whole_steps(closed.grid.step, oracle.grid.step)
+    if not stride:
         raise ValidationError("oracle step must divide the solver grid step")
-    keep = closed.grid.nodes() >= -1e-12  # history rows are omitted
-    yc, yo = closed.values[keep], oracle.values[::stride][keep]
+    m = closed.grid.index_of(0.0)  # history rows are omitted
+    yc, yo = closed.values[m:], oracle.values[::stride][m:]
     diffs = np.abs(yc - yo)
-    rows = zip(closed.grid.nodes()[keep], yc, yo, diffs)
+    rows = zip(closed.grid.nodes()[m:], yc, yo, diffs)
     summary = {
         "max_absdiff": float(np.max(diffs)),
         "l2_diff": float(math.sqrt(closed.grid.step * float(np.sum(diffs**2)))),
@@ -398,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     for command in p.values():
         command.add_argument("--config", required=True)
         command.add_argument("--output")
-    p["solve"].add_argument("--method", choices=["linear", "picard"], default="picard")
     p["compare"].add_argument("--oracle-step", type=float)
     p["uh"].add_argument("--epsilon", type=float, required=True)
     p["uh"].add_argument("--gshape", default="one")
@@ -418,7 +413,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, args.output)
         if args.command == "solve":
-            return cmd_solve(cfg, args.output, args.method)
+            return cmd_solve(cfg, args.output)
         if args.command == "compare":
             return cmd_compare(cfg, args.output, args.oracle_step)
         return cmd_uh(cfg, args.output, args.epsilon, args.gshape)

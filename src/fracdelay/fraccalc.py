@@ -34,6 +34,15 @@ _ALIGN_TOL = 1e-9
 _GL_BLOCK = 2048
 
 
+def _whole_steps(span: float, step: float) -> int | None:
+    """n if span is n whole steps, to _ALIGN_TOL relative, else None."""
+    r = span / step
+    if not math.isfinite(r):
+        return None
+    n = round(r)
+    return n if abs(r - n) <= _ALIGN_TOL * max(1, abs(n)) else None
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Nodes t_start + i*step for i = 0..count-1."""
@@ -51,9 +60,8 @@ class UniformGrid:
 
     @classmethod
     def from_range(cls, t_start: float, t_end: float, step: float) -> "UniformGrid":
-        span = t_end - t_start
-        n = round(span / step)
-        if n < 1 or abs(n * step - span) > _ALIGN_TOL * max(1.0, abs(span)):
+        n = _whole_steps(t_end - t_start, step)
+        if n is None or n < 1:
             raise ValidationError(
                 f"step {step} does not tile [{t_start}, {t_end}] exactly"
             )
@@ -67,8 +75,8 @@ class UniformGrid:
         return self.t_start + self.step * np.arange(self.count)
 
     def index_of(self, t: float) -> int:
-        i = round((t - self.t_start) / self.step)
-        if i < 0 or i >= self.count or abs(self.t_start + i * self.step - t) > _ALIGN_TOL:
+        i = _whole_steps(t - self.t_start, self.step)
+        if i is None or not 0 <= i < self.count:
             raise ValidationError(f"t={t} is not a node of {self}")
         return i
 

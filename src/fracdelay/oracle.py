@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonError, ValidationError
-from .fraccalc import UniformGrid, gl_derivative, gl_weights
+from .fraccalc import UniformGrid, _whole_steps, gl_derivative, gl_weights
 from .repsolver import ProblemSpec, SolutionTrace
 
 __all__ = ["OracleConfig", "ResidualReport", "gl_solve", "residual_check"]
@@ -43,8 +43,8 @@ class OracleConfig:
 
     def delay_offset(self, h: float) -> int:
         """Number of grid steps per delay; validates divisibility and step <= h/8."""
-        m = round(h / self.step)
-        if m < 1 or abs(m * self.step - h) > 1e-9 * max(1.0, h):
+        m = _whole_steps(h, self.step)
+        if not m:
             raise ValidationError("h must be an integer multiple of the oracle step")
         if m < 8:
             raise ValidationError("oracle step must be at most h/8")
@@ -55,7 +55,7 @@ class OracleConfig:
 class ResidualReport:
     """Pointwise residuals of the discretized equation at the positive nodes.
 
-    ``included`` masks out nodes within 4 steps of -h or of 0, where the
+    ``included`` masks out the nodes within 4 steps after 0, where the
     solution may lack the smoothness the GL difference quotient assumes;
     ``max_abs`` is taken over the included nodes only.
     """
@@ -146,26 +146,23 @@ def residual_check(
     nodes t_i > 0, with the GL difference quotients based at -h.
     """
     grid = trace.grid
-    if abs(grid.t_start + spec.h) > 1e-9 * max(1.0, spec.h):
-        raise ValidationError("residual_check needs a grid based at -h")
     tau = grid.step
-    if cfg is not None and abs(cfg.step - tau) > 1e-12 * tau:
+    if _whole_steps(grid.t_start + spec.h, tau) != 0:
+        raise ValidationError("residual_check needs a grid based at -h")
+    if cfg is not None and _whole_steps(cfg.step, tau) != 1:
         raise ValidationError("oracle config step does not match the trace grid")
-    m = round(spec.h / tau)
-    if m < 1 or abs(m * tau - spec.h) > 1e-9 * max(1.0, spec.h):
+    m = _whole_steps(spec.h, tau)
+    if not m:
         raise ValidationError("h must be an integer multiple of the trace step")
 
     y = trace.values
     da = gl_derivative(y, tau, spec.alpha)
     db = gl_derivative(y, tau, spec.beta)
-    ts = grid.nodes()
-    pos = np.nonzero(ts > 1e-12 * tau)[0]
-    if pos.size == 0:
-        raise ValidationError("trace has no nodes with t > 0")
-    f_vals = spec.rhs(ts[pos], y[pos])
-    residuals = da[pos] - spec.lam * db[pos] - spec.mu * y[pos - m] - f_vals
-    t_pos = ts[pos]
-    included = (t_pos > _EXCLUDE_STEPS * tau) & (t_pos + spec.h > _EXCLUDE_STEPS * tau)
+    # node m is t = 0
+    pos = np.arange(m + 1, grid.count)
+    t_pos = grid.nodes()[pos]
+    residuals = da[pos] - spec.lam * db[pos] - spec.mu * y[pos - m] - spec.rhs(t_pos, y[pos])
+    included = pos > m + _EXCLUDE_STEPS
     if not included.any():
-        raise ValidationError("all positive nodes fall in the excluded boundary zones")
+        raise ValidationError(f"trace has no nodes more than {_EXCLUDE_STEPS} steps after t = 0")
     return ResidualReport(t_pos, residuals, included, tau)

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import IterationLimitError, NonContractionError, ValidationError
-from .fraccalc import ShiftedPolynomial, UniformGrid, rl_derivative_poly
+from .fraccalc import ShiftedPolynomial, UniformGrid, _whole_steps, rl_derivative_poly
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -195,13 +195,13 @@ def solver_grid(spec: ProblemSpec, divisor: int = 128) -> UniformGrid:
 
 
 def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> int:
-    """Validate grid alignment; return the delay offset in nodes."""
-    if abs(grid.t_start + spec.h) > 1e-9:
+    """Validate grid alignment; return m = h/step, the index of t = 0."""
+    if _whole_steps(grid.t_start + spec.h, grid.step) != 0:
         raise ValidationError("solver grid must start at -h")
-    m = round(spec.h / grid.step)
-    if m < 1 or abs(m * grid.step - spec.h) > 1e-9:
+    m = _whole_steps(spec.h, grid.step)
+    if not m:
         raise ValidationError("h must be an integer number of grid steps")
-    if abs(grid.t_end - spec.T) > 1e-9:
+    if grid.count != m * (spec.l + 1) + 1:
         raise ValidationError("solver grid must end at T = l*h")
     return m
 
@@ -349,13 +349,10 @@ def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
     whose step divides h, else None."""
     if ts.size < 2 or not ts[-1] > ts[0]:
         return None
-    m = round(spec.h * (ts.size - 1) / (ts[-1] - ts[0]))
-    if m < 1:
-        return None
-    step = spec.h / m
-    k = ts / step
-    ks = np.round(k)
-    if ks[0] < 1 or np.any(np.abs(k - ks) > 1e-9 * ks) or np.any(np.diff(ks) != 1.0):
+    step = spec.h / max(1, round(spec.h * (ts.size - 1) / (ts[-1] - ts[0])))
+    gaps = np.diff(ts)
+    first = _whole_steps(ts[0], step) or 0
+    if first < 1 or not _whole_steps(gaps.min(), step) == _whole_steps(gaps.max(), step) == 1:
         return None
     return step
 
@@ -429,7 +426,7 @@ def homogeneous_at(
     ``convolve_kernel`` for the arrays that are swept together).
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= -spec.h - 1e-12) & (ts <= spec.T + 1e-12)):
+    if not np.all((ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     cache = _cache_for(spec, ctrl, cache)
     h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
@@ -454,7 +451,7 @@ def forced_at(
     result) or an array of times, as for ``homogeneous_at``.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= -1e-12) & (ts <= spec.T + 1e-12)):
+    if not np.all((ts >= -1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
         raise ValidationError("forced_at requires t in [0, T]")
     return convolve_kernel(spec, forcing, ts, ctrl, cache)
 
@@ -469,15 +466,15 @@ def _base(
 
     with p the rhs poly_part; ``extra_forcing`` maps an array of times to values.
     """
+    m = _check_solver_grid(spec, grid)
     ts = grid.nodes()
-    pos = ts > 0.0
     base = np.empty(grid.count)
-    base[~pos] = spec.phi(ts[~pos])
-    base[pos] = homogeneous_at(spec, ts[pos], cache.ctrl, cache)
+    base[: m + 1] = spec.phi(ts[: m + 1])
+    base[m + 1 :] = homogeneous_at(spec, ts[m + 1 :], cache.ctrl, cache)
     poly = spec.rhs.poly_part
     forcing = poly if extra_forcing is None else (lambda s: poly(s) + extra_forcing(s))
     if extra_forcing is not None or not poly.is_zero():
-        base[pos] += forced_at(spec, forcing, ts[pos], cache.ctrl, cache)
+        base[m + 1 :] += forced_at(spec, forcing, ts[m + 1 :], cache.ctrl, cache)
     return base
 
 
@@ -490,7 +487,6 @@ def linear_solution(
     """Closed-form solution for rhs shape "zero" (forcing depends on t only)."""
     if spec.rhs.shape != "zero":
         raise ValidationError("linear_solution requires rhs shape 'zero'")
-    _check_solver_grid(spec, grid)
     cache = _cache_for(spec, ctrl, cache)
     return SolutionTrace(grid, _base(spec, grid, None, cache), {"method": "linear"})
 
@@ -511,7 +507,7 @@ def apply_F(
     is b on the grid when the caller already has it (``picard_solve``
     computes it once per solve, with its extra forcing).
     """
-    _check_solver_grid(spec, y.grid)
+    m = _check_solver_grid(spec, y.grid)
     cache = _cache_for(spec, ctrl, cache)
     if base is None:
         base = _base(spec, y.grid, None, cache)
@@ -521,9 +517,8 @@ def apply_F(
     def forcing(s: np.ndarray) -> np.ndarray:
         return rhs.kappa * rhs.shape_of(np.interp(s, nodes, y.values))
 
-    pos = nodes > 0.0
     values = base.copy()
-    values[pos] += forced_at(spec, forcing, nodes[pos], cache.ctrl, cache)
+    values[m + 1 :] += forced_at(spec, forcing, nodes[m + 1 :], cache.ctrl, cache)
     return SolutionTrace(y.grid, values, {"method": "apply_F"})
 
 
@@ -597,7 +592,6 @@ def picard_solve(
     Returns the trace and a report with {iterations, final_delta, q, omega,
     deltas, ratios} (plus the sup-norm delta history).
     """
-    _check_solver_grid(spec, grid)
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:

@@ -94,6 +94,8 @@ class WrightSpec:
 
 
 def _is_nonpositive_integer(x: float) -> bool:
+    if not math.isfinite(x):
+        raise ValidationError("gamma argument must be finite")
     n = round(x)
     return n <= 0 and abs(x - n) <= _EXP_SNAP * max(1.0, abs(x))
 
@@ -181,6 +183,8 @@ def wright_series(spec: WrightSpec, z: float, ctrl: SeriesControl | None = None)
     convergence margin condition fails.
     """
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+    if not math.isfinite(z):
+        raise ValidationError("wright_series requires a finite z")
     if not spec.margin > -1.0:
         raise ValidationError(
             f"wright_series divergent: margin {spec.margin} must exceed -1"
@@ -245,8 +249,8 @@ def g_function(
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
     if not (1.0 < alpha <= 2.0 and 0.0 < beta < 1.0 and alpha - beta > 1.0):
         raise ValidationError("g_function requires 1 < alpha <= 2, 0 < beta < 1, alpha-beta > 1")
-    if t <= 0:
-        raise ValidationError("g_function requires t > 0")
+    if not 0 < t < math.inf:
+        raise ValidationError("g_function requires finite t > 0")
     log_t = math.log(t)
     log_lam = math.log(abs(lam)) if lam != 0.0 else None
     log_mu = math.log(abs(mu)) if mu != 0.0 else None
@@ -322,8 +326,8 @@ def delayed_ml_piecewise(
     ``ctrl`` is accepted for interface uniformity; every branch is a finite sum.
     """
     del ctrl
-    if not (h > 0 and a > 0 and b > 0):
-        raise ValidationError("delayed_ml_piecewise requires h, a, b > 0")
+    if not (h > 0 and a > 0 and b > 0 and math.isfinite(t)):
+        raise ValidationError("delayed_ml_piecewise requires h, a, b > 0 and a finite t")
     if t <= -h:
         return 0.0
     if t <= 0.0:

@@ -126,13 +126,13 @@ def test_nonpositive_omega_rejected(tmp_path):
     cfg = write_config(
         tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8, "omega": -3}}
     )
-    assert cli.main(["solve", "--config", cfg, "--method", "picard"]) == 1
+    assert cli.main(["solve", "--config", cfg]) == 1
 
 
 def test_non_integrable_history_rejected(tmp_path):
     prob = dict(SQUARE_PROBLEM, phi=[1.0, 0.0, 1.0])
     cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
-    assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 1
+    assert cli.main(["solve", "--config", cfg]) == 1
 
 
 def test_bad_series_and_oracle_keys_rejected(tmp_path):
@@ -427,7 +427,7 @@ def test_solve_zero_problem(tmp_path, capsys):
         {"problem": ZERO_PROBLEM, "numerics": {"grid_divisor": 8}},
     )
     out = tmp_path / "y.csv"
-    assert cli.main(["solve", "--config", cfg, "--output", str(out), "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg, "--output", str(out)]) == 0
     header, rows = read_csv(out)
     assert header == "t,y"
     assert len(rows) == 8 * 2 + 1
@@ -437,23 +437,6 @@ def test_solve_zero_problem(tmp_path, capsys):
     assert summary["iterations"] == 0
 
 
-def test_solve_picard_equals_linear_for_zero_shape(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "solve.json",
-        {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 8}},
-    )
-    out_lin = tmp_path / "lin.csv"
-    out_pic = tmp_path / "pic.csv"
-    assert cli.main(["solve", "--config", cfg, "--output", str(out_lin), "--method", "linear"]) == 0
-    assert cli.main(["solve", "--config", cfg, "--output", str(out_pic), "--method", "picard"]) == 0
-    assert out_lin.read_bytes() == out_pic.read_bytes()
-    summaries = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert summaries[0]["method"] == "linear"
-    assert summaries[1]["method"] == "picard"
-    assert summaries[1]["iterations"] == 1
-
-
 def test_solve_history_column_matches_phi(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -461,7 +444,7 @@ def test_solve_history_column_matches_phi(tmp_path):
         {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 8}},
     )
     out = tmp_path / "y.csv"
-    assert cli.main(["solve", "--config", cfg, "--output", str(out), "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg, "--output", str(out)]) == 0
     _, rows = read_csv(out)
     for t, v in rows:
         if t <= 0.0:
@@ -479,16 +462,24 @@ def test_solve_summary_to_file(tmp_path, capsys):
             "output": {"trace": str(tmp_path / "trace.csv"), "summary": str(summary_path)},
         },
     )
-    assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg]) == 0
     assert capsys.readouterr().out == ""
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     assert summary["final_delta"] == 0.0
     assert (tmp_path / "trace.csv").exists()
 
 
-def test_solve_linear_rejects_nonlinear_rhs(tmp_path):
+def test_solve_picks_solver_from_rhs(tmp_path, capsys):
+    # the rhs shape decides: "zero" is the linear closed form, any other
+    # shape the Picard iteration; there is no flag to override it
     prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
-    cfg = write_config(tmp_path, "solve.json", {"problem": prob})
+    methods = []
+    for problem in (SQUARE_PROBLEM, prob):
+        cfg = {"problem": problem, "numerics": {"grid_divisor": 8}}
+        cfg = write_config(tmp_path, "solve.json", cfg)
+        assert cli.main(["solve", "--config", cfg]) == 0
+        methods.append(json.loads(capsys.readouterr().out.splitlines()[-1])["method"])
+    assert methods == ["linear", "picard"]
     assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 1
 
 
@@ -501,13 +492,13 @@ def test_solve_auto_initial_data(tmp_path, capsys):
     )
     out = tmp_path / "auto.csv"
     ref = tmp_path / "ref.csv"
-    assert cli.main(["solve", "--config", cfg, "--output", str(out), "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg, "--output", str(out)]) == 0
     cfg2 = write_config(
         tmp_path,
         "solve2.json",
         {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 8}},
     )
-    assert cli.main(["solve", "--config", cfg2, "--output", str(ref), "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg2, "--output", str(ref)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == ref.read_bytes()
 
@@ -549,7 +540,7 @@ def test_solve_tiny_omega_fails_contraction(tmp_path):
         "solve.json",
         {"problem": prob, "numerics": {"grid_divisor": 8, "omega": 1e-9}},
     )
-    assert cli.main(["solve", "--config", cfg, "--method", "picard"]) == 2
+    assert cli.main(["solve", "--config", cfg]) == 2
 
 
 @pytest.mark.parametrize(
@@ -588,7 +579,7 @@ def test_closed_stdout_exits_quietly(tmp_path, monkeypatch, capsys):
         tmp_path, "c.json", {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 8}}
     )
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    assert cli.main(["solve", "--config", cfg, "--method", "linear"]) == 0
+    assert cli.main(["solve", "--config", cfg]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -600,7 +591,7 @@ def test_closed_stdout_pipe_exits_quietly(tmp_path):
         tmp_path, "c.json", {"problem": SQUARE_PROBLEM, "numerics": {"grid_divisor": 2048}}
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    argv = [sys.executable, "-m", "fracdelay.cli", "solve", "--config", cfg, "--method", "linear"]
+    argv = [sys.executable, "-m", "fracdelay.cli", "solve", "--config", cfg]
     with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
         assert proc.stdout.readline() == b"t,y\n"
         proc.stdout.close()

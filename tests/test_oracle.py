@@ -146,6 +146,15 @@ def test_gl_solve_nonlinear_term_active():
     assert np.max(np.abs(with_f.values - without_f.values)) > 1e-3
 
 
+def test_gl_solve_fixed_point_fallback():
+    # one Newton step does not meet newton_tol, so the steps finish in the
+    # fixed-point fallback, which reaches the same values
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    newton = gl_solve(spec, OracleConfig(step=2.0**-5))
+    fallback = gl_solve(spec, OracleConfig(step=2.0**-5, newton_max=1))
+    assert np.max(np.abs(fallback.values - newton.values)) <= 1e-12
+
+
 def test_gl_solve_singular_linearization():
     # lam = tau^{beta-alpha} zeroes the implicit coefficient c = tau^-alpha
     # - lam tau^-beta, so the scalar step has no slope to divide by

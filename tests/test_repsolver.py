@@ -517,11 +517,51 @@ def test_linear_solution_grid_mismatch(spec6):
     short = UniformGrid(-1.0, 1.0 / 16.0, 33)  # ends at 1, not T=3
     with pytest.raises(ValidationError):
         linear_solution(spec6, short)
+    # 5.45 steps per delay, though within 1e-9 of -h and of T
+    h = 3e-9
+    tiny = make_spec(h=h, l=1, phi=ShiftedPolynomial(-h, ()))
+    with pytest.raises(ValidationError):
+        linear_solution(tiny, UniformGrid(-h, 5.5e-10, 11))
+
+
+def test_solver_grid_accepted_at_any_scale():
+    # the last node of this grid is one ulp (1.9e-9) short of T; with
+    # lam = mu = 0, phi = 0 and c1 = 1 the solution is (t+h)^{alpha-1}/Gamma(alpha)
+    h = 143230.71762104906
+    spec = make_spec(h=h, l=59, lam=0.0, mu=0.0, phi=ShiftedPolynomial(-h, ()), c1=1.0)
+    grid = solver_grid(spec, 12)
+    trace = linear_solution(spec, grid)
+    t = grid.nodes()[13:]
+    expected = (t + h) ** (spec.alpha - 1.0) / math.gamma(spec.alpha)
+    np.testing.assert_allclose(trace.values[13:], expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.45, 0.85])
+def test_swept_nodes_found_by_index(monkeypatch, h):
+    # at step h/100 node 100 is -h + 100*step = +5.6e-17 (h = 0.45) or
+    # +1.1e-16 (h = 0.85), not 0; the history is nodes 0..100 by index, so
+    # the solve stays one sweep over one kernel table
+    sin = RhsSpec(kappa=0.25, shape="sin")
+    spec = make_spec(h=h, phi=ShiftedPolynomial(-h, (0.0, 0.0, 1.0)), rhs=sin)
+    fetch, calls = KernelCache.fetch_many, []
+    monkeypatch.setattr(
+        KernelCache, "fetch_many", lambda self, *args: calls.append(args) or fetch(self, *args)
+    )
+    picard_solve(spec, solver_grid(spec, 100))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
 # apply_F / weighted_norm / contraction machinery
 # ---------------------------------------------------------------------------
+
+
+def test_picard_equals_linear_for_zero_shape():
+    spec = make_spec(l=1)
+    grid = solver_grid(spec, divisor=8)
+    trace, report = picard_solve(spec, grid)
+    assert np.array_equal(trace.values, linear_solution(spec, grid).values)
+    assert report["iterations"] == 1
 
 
 def test_apply_F_ignores_input_when_rhs_zero(spec6):

@@ -365,9 +365,31 @@ def test_g_function_mu_zero_reduces_to_ml():
     assert g_function(1.6, 0.4, 0.4, 0.0, 1.0) == pytest.approx(
         1.293434382966350801423175, rel=1e-13
     )
-    for t in (0.5, 1.7):
-        lhs = t ** (1.6 - 1.0) * g_function(1.6, 0.4, 0.8, 0.0, t)
-        assert lhs == pytest.approx(ml_kernel(1.6, 1.6, 0.8, t), rel=1e-12)
+    for lam, t in ((0.8, 0.5), (0.8, 1.7), (-0.8, 1.7)):
+        lhs = t ** (1.6 - 1.0) * g_function(1.6, 0.4, lam, 0.0, t)
+        assert lhs == pytest.approx(ml_kernel(1.6, 1.6, lam, t), rel=1e-12)
+
+
+def test_g_function_lam_zero_reduces_to_ml():
+    # t^{alpha-1} G(0, mu; t) = ml_kernel(alpha - beta, alpha, mu, t)
+    for mu, t in ((0.8, 1.7), (-0.8, 0.5), (-0.8, 1.7)):
+        lhs = t ** (1.6 - 1.0) * g_function(1.6, 0.4, 0.0, mu, t)
+        assert lhs == pytest.approx(ml_kernel(1.2, 1.6, mu, t), rel=1e-12)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_argument_rejected(x):
+    wright = WrightSpec(upper_params=[(1.0, 1.0)], lower_params=[(1.8, 1.2)])
+    calls = [
+        lambda: gamma_fn(x),
+        lambda: recip_gamma(x),
+        lambda: delayed_ml_piecewise(1.0, 1.2, 1.6, 0.3, x),
+        lambda: g_function(1.6, 0.4, 0.5, 0.3, x),
+        lambda: wright_series(wright, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
 
 
 def test_g_function_validation():
