@@ -29,6 +29,7 @@ from .errors import ConvergenceError, ValidationError
 from .fraccalc import ShiftedPolynomial, _whole_steps, derive_initial_data
 from .oracle import OracleConfig, gl_solve
 from .repsolver import (
+    KernelCache,
     ProblemSpec,
     RhsSpec,
     kernel_companion,
@@ -166,9 +167,9 @@ _SOLVER_KEYWORDS = {
 }
 
 
-def _parse_numerics(cfg: dict) -> tuple[dict, dict]:
-    """The solver_grid keywords and the picard_solve keywords of the config:
-    the keys it sets, and the series control ``ctrl`` (None: the default)."""
+def _parse_numerics(cfg: dict) -> tuple[dict, dict, SeriesControl | None]:
+    """The solver_grid keywords and the picard_solve keywords the config
+    sets, and its series control (None: the default)."""
     fields = dict(
         integer="grid_divisor max_iter", real="picard_tol omega_margin omega", object="series"
     )
@@ -181,7 +182,7 @@ def _parse_numerics(cfg: dict) -> tuple[dict, dict]:
         ctrl = SeriesControl(**_section(node.pop("series"), "numerics.series", fields))
     options = {_SOLVER_KEYWORDS[key]: value for key, value in node.items()}
     grid = {"divisor": options.pop("divisor")} if "divisor" in options else {}
-    return grid, {**options, "ctrl": ctrl}
+    return grid, options, ctrl
 
 
 def _parse_oracle(cfg: dict, h: float) -> OracleConfig:
@@ -283,7 +284,7 @@ def cmd_eval(cfg: dict, output: str | None) -> int:
         raise ValidationError("eval.points must be at least 1")
     if node["points"] > 1 and not node["t_stop"] > node["t_start"]:
         raise ValidationError("eval.t_stop must exceed eval.t_start")
-    ctrl = _parse_numerics(cfg)[1]["ctrl"]
+    ctrl = _parse_numerics(cfg)[2]
     out = _parse_output(cfg)
     fields, required, value = _EVAL_FUNCTIONS[node["function"]]
     params = {"lambda": 0.0, "mu": 0.0}
@@ -298,13 +299,14 @@ def cmd_eval(cfg: dict, output: str | None) -> int:
 
 def _solve_closed(spec: ProblemSpec, cfg: dict):
     """Linear closed form for rhs shape "zero", else Picard; returns (trace, summary)."""
-    grid_options, options = _parse_numerics(cfg)
+    grid_options, options, ctrl = _parse_numerics(cfg)
     grid = solver_grid(spec, **grid_options)
+    cache = KernelCache(spec, ctrl)
     if spec.rhs.shape == "zero":
-        trace = linear_solution(spec, grid, options["ctrl"])
+        trace = linear_solution(spec, grid, cache)
         summary = {"method": "linear", "q": 0.0, "omega": None, "iterations": 0, "final_delta": 0.0}
         return trace, summary
-    trace, report = picard_solve(spec, grid, **options)
+    trace, report = picard_solve(spec, grid, cache=cache, **options)
     summary = {
         "method": "picard",
         "q": float(report["q"]),
@@ -355,14 +357,15 @@ def cmd_compare(cfg: dict, output: str | None, oracle_step: float | None) -> int
 
 def cmd_uh(cfg: dict, output: str | None, epsilon: float, gshape: str) -> int:
     spec = _parse_problem(cfg)
-    grid_options, options = _parse_numerics(cfg)
+    grid_options, options, ctrl = _parse_numerics(cfg)
     out = _parse_output(cfg)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError("--epsilon must be a finite nonnegative number")
     if gshape not in _GSHAPES:
         raise ValidationError(f"--gshape must be one of {', '.join(sorted(_GSHAPES))}")
     pert = PerturbationSpec(epsilon, _GSHAPES[gshape])
-    result = perturbed_solve(spec, pert, solver_grid(spec, **grid_options), **options)
+    grid = solver_grid(spec, **grid_options)
+    result = perturbed_solve(spec, pert, grid, KernelCache(spec, ctrl), **options)
     # the slack allows for the tolerance each of the two traces was solved to
     slack = 2.0 * result.x.meta["tol"]
     summary = {

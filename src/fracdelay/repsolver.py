@@ -235,9 +235,9 @@ class KernelCache:
     ``fetch_many`` evaluates a kernel at given offsets through the vectorized
     series.  ``table`` keeps, per cell width, the main kernel's weights in
     the product rule, so every sweep of a solve, and every solve that
-    shares the cache on the same grid step, reads one table.  The solvers
-    accept a cache for any problem with the same kernels and series control
-    and reject any other.
+    shares the cache on the same grid step, reads one table.  The cache
+    carries the series control of every series a solve sums.  The solvers
+    accept a cache for any problem with the same kernels and reject any other.
     """
 
     def __init__(self, spec: ProblemSpec, ctrl: SeriesControl | None = None) -> None:
@@ -268,19 +268,14 @@ class KernelCache:
         return rows[:cells]
 
 
-def _cache_for(
-    spec: ProblemSpec, ctrl: SeriesControl | None, cache: KernelCache | None
-) -> KernelCache:
-    """``cache``, or a new one; a cache for other (h, alpha, beta, lam, mu) or
-    another control (None: the default) would give a wrong answer, so it is
-    an error.  Problems that differ only in phi, c1, c2 or rhs share one."""
-    ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
+def _cache_for(spec: ProblemSpec, cache: KernelCache | None) -> KernelCache:
+    """``cache``, or a new one with the default control; a cache for other
+    (h, alpha, beta, lam, mu) would give a wrong answer, so it is an error.
+    Problems that differ only in phi, c1, c2 or rhs share one."""
     if cache is None:
-        return KernelCache(spec, ctrl)
-    if _kernel_params(cache.spec, "main") != _kernel_params(spec, "main") or cache.ctrl != ctrl:
-        raise ValidationError(
-            "kernel cache was built for other kernel parameters or another series control"
-        )
+        return KernelCache(spec)
+    if _kernel_params(cache.spec, "main") != _kernel_params(spec, "main"):
+        raise ValidationError("kernel cache was built for other kernel parameters")
     return cache
 
 
@@ -374,13 +369,7 @@ def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) ->
     return step * total[first - 1 :]
 
 
-def convolve_kernel(
-    spec: ProblemSpec,
-    source: Callable,
-    t,
-    ctrl: SeriesControl | None = None,
-    cache: KernelCache | None = None,
-):
+def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache | None = None):
     """integral_0^t K1(t - s) source(s) ds, 0 for t <= 0, by the module's product rule.
 
     ``source`` maps an array of times to values.  For one time t (float
@@ -389,7 +378,7 @@ def convolve_kernel(
     those are done in one Toeplitz sweep with cells one step wide; any other
     array is done one time at a time.
     """
-    cache = _cache_for(spec, ctrl, cache)
+    cache = _cache_for(spec, cache)
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("convolve_kernel requires finite t")
@@ -405,16 +394,11 @@ def convolve_kernel(
         if step is not None:
             out[pos] = _sweep(cache, source, ts[pos], step)
         else:
-            out[pos] = [convolve_kernel(spec, source, x, cache.ctrl, cache) for x in ts[pos]]
+            out[pos] = [convolve_kernel(spec, source, x, cache) for x in ts[pos]]
     return out
 
 
-def homogeneous_at(
-    spec: ProblemSpec,
-    t,
-    ctrl: SeriesControl | None = None,
-    cache: KernelCache | None = None,
-):
+def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
     """Homogeneous part of the representation at times t in [-h, T]:
 
         c1 * K1(t+h) + c2 * K2(t+h) + integral_{-h}^{min(t,0)} K1(t-s) g(s) ds,
@@ -428,23 +412,17 @@ def homogeneous_at(
     ts = np.asarray(t, dtype=float)
     if not np.all((ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
-    cache = _cache_for(spec, ctrl, cache)
+    cache = _cache_for(spec, cache)
     h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
     u = np.maximum(ts + h, 0.0)
     val = np.zeros(u.shape)
     for b, coef in _series_terms(spec):
         val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, u, cache.ctrl)
-    val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache.ctrl, cache)
+    val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache)
     return float(val) if val.ndim == 0 else val
 
 
-def forced_at(
-    spec: ProblemSpec,
-    forcing: Callable,
-    t,
-    ctrl: SeriesControl | None = None,
-    cache: KernelCache | None = None,
-):
+def forced_at(spec: ProblemSpec, forcing: Callable, t, cache: KernelCache | None = None):
     """Forced part integral_0^t K1(t-s) forcing(s) ds for t in [0, T].
 
     ``forcing`` maps an array of times to values; ``t`` is one time (float
@@ -453,48 +431,36 @@ def forced_at(
     ts = np.asarray(t, dtype=float)
     if not np.all((ts >= -1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
         raise ValidationError("forced_at requires t in [0, T]")
-    return convolve_kernel(spec, forcing, ts, ctrl, cache)
+    return convolve_kernel(spec, forcing, ts, cache)
 
 
-def _base(
-    spec: ProblemSpec, grid: UniformGrid, extra_forcing: Callable | None, cache: KernelCache
-) -> np.ndarray:
+def _base(spec: ProblemSpec, grid: UniformGrid, cache: KernelCache) -> np.ndarray:
     """The part b of F y that does not depend on y, on the grid: phi on
-    [-h, 0], and for t > 0 the homogeneous term plus
-
-        integral_0^t K1(t-s) (p(s) + extra_forcing(s)) ds,
-
-    with p the rhs poly_part; ``extra_forcing`` maps an array of times to values.
-    """
+    [-h, 0], and for t > 0 the homogeneous term plus the kernel integral of
+    the rhs poly_part."""
     m = _check_solver_grid(spec, grid)
     ts = grid.nodes()
     base = np.empty(grid.count)
     base[: m + 1] = spec.phi(ts[: m + 1])
-    base[m + 1 :] = homogeneous_at(spec, ts[m + 1 :], cache.ctrl, cache)
-    poly = spec.rhs.poly_part
-    forcing = poly if extra_forcing is None else (lambda s: poly(s) + extra_forcing(s))
-    if extra_forcing is not None or not poly.is_zero():
-        base[m + 1 :] += forced_at(spec, forcing, ts[m + 1 :], cache.ctrl, cache)
+    base[m + 1 :] = homogeneous_at(spec, ts[m + 1 :], cache)
+    if not spec.rhs.poly_part.is_zero():
+        base[m + 1 :] += forced_at(spec, spec.rhs.poly_part, ts[m + 1 :], cache)
     return base
 
 
 def linear_solution(
-    spec: ProblemSpec,
-    grid: UniformGrid,
-    ctrl: SeriesControl | None = None,
-    cache: KernelCache | None = None,
+    spec: ProblemSpec, grid: UniformGrid, cache: KernelCache | None = None
 ) -> SolutionTrace:
     """Closed-form solution for rhs shape "zero" (forcing depends on t only)."""
     if spec.rhs.shape != "zero":
         raise ValidationError("linear_solution requires rhs shape 'zero'")
-    cache = _cache_for(spec, ctrl, cache)
-    return SolutionTrace(grid, _base(spec, grid, None, cache), {"method": "linear"})
+    cache = _cache_for(spec, cache)
+    return SolutionTrace(grid, _base(spec, grid, cache), {"method": "linear"})
 
 
 def apply_F(
     spec: ProblemSpec,
     y: SolutionTrace,
-    ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
     base: np.ndarray | None = None,
 ) -> SolutionTrace:
@@ -505,12 +471,12 @@ def apply_F(
     that does not depend on y, is phi on [-h, 0] and for t > 0 the
     homogeneous term plus the kernel integral of the rhs poly_part.  ``base``
     is b on the grid when the caller already has it (``picard_solve``
-    computes it once per solve, with its extra forcing).
+    takes it once per solve).
     """
     m = _check_solver_grid(spec, y.grid)
-    cache = _cache_for(spec, ctrl, cache)
+    cache = _cache_for(spec, cache)
     if base is None:
-        base = _base(spec, y.grid, None, cache)
+        base = _base(spec, y.grid, cache)
     nodes = y.grid.nodes()
     rhs = spec.rhs
 
@@ -518,7 +484,7 @@ def apply_F(
         return rhs.kappa * rhs.shape_of(np.interp(s, nodes, y.values))
 
     values = base.copy()
-    values[m + 1 :] += forced_at(spec, forcing, nodes[m + 1 :], cache.ctrl, cache)
+    values[m + 1 :] += forced_at(spec, forcing, nodes[m + 1 :], cache)
     return SolutionTrace(y.grid, values, {"method": "apply_F"})
 
 
@@ -576,15 +542,13 @@ def picard_solve(
     max_iter: int = 100,
     margin: float = 2.0,
     omega: float | None = None,
-    ctrl: SeriesControl | None = None,
     cache: KernelCache | None = None,
-    extra_forcing: Callable | None = None,
+    base: np.ndarray | None = None,
 ) -> tuple[SolutionTrace, dict]:
     """Banach fixed-point iteration for the nonlinear problem.
 
-    The part of F that does not depend on y (``apply_F``), with
-    ``extra_forcing`` (an array-of-times callable added to f), is computed
-    once per solve.  Starts from F applied to y = 0, applies F until
+    ``base`` is the part of F that does not depend on y (``apply_F``), on
+    the grid; by default it is computed here, once per solve.  Starts from F applied to y = 0, applies F until
     ||y_{k+1} - y_k||_omega <= tol*(1-q)/q, which bounds the weighted-norm
     distance to the fixed point by tol.  The sup-norm delta must also fall
     below tol before stopping: the weight at late times can exceed 1e7, so
@@ -604,16 +568,17 @@ def picard_solve(
         raise NonContractionError(
             f"contraction factor q={q:.6g} >= 1; increase omega or shrink the problem"
         )
-    cache = _cache_for(spec, ctrl, cache)
-    base = _base(spec, grid, extra_forcing, cache)
-    y = apply_F(spec, SolutionTrace(grid, np.zeros(grid.count)), cache.ctrl, cache, base)
+    cache = _cache_for(spec, cache)
+    if base is None:
+        base = _base(spec, grid, cache)
+    y = apply_F(spec, SolutionTrace(grid, np.zeros(grid.count)), cache, base)
     ts = grid.nodes()
     weights = weight_ml(spec.alpha, omega, ts[ts >= 0.0], cache.ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []
     deltas_sup: list[float] = []
     for iteration in range(1, max_iter + 1):
-        y_next = apply_F(spec, y, cache.ctrl, cache, base)
+        y_next = apply_F(spec, y, cache, base)
         diff = y_next.values - y.values
         delta = weighted_norm(ts, diff, omega, spec.alpha, cache.ctrl, weights)
         deltas.append(delta)

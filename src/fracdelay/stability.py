@@ -21,9 +21,12 @@ from .repsolver import (
     KernelCache,
     ProblemSpec,
     SolutionTrace,
+    _base,
     _cache_for,
+    _check_solver_grid,
     _growth,
     contraction_factor,
+    forced_at,
     picard_solve,
     weighted_norm,
 )
@@ -80,20 +83,25 @@ def perturbed_solve(
     """Solve the perturbed and exact problems and evaluate the UH inequality.
 
     ``options`` are ``picard_solve``'s (``tol``, ``max_iter``, ``margin``,
-    ``omega``, ``ctrl``) and go to both solves.  Both share one kernel cache,
-    so the kernel table is evaluated once, and the exact solve uses the
-    weight omega of the perturbed one, so lhs and rhs_bound refer to the same
-    norm.  The perturbation enters only the per-solve base of F
-    (``picard_solve``), so it is sampled once.
+    ``omega``) and go to both solves.  Both share one kernel cache, whose
+    series control they use, and the base of F (``picard_solve``): the
+    exact base b is computed once, and the perturbed solve's is b plus the
+    kernel integral of the perturbation, so the perturbation is sampled
+    once.  The exact solve uses the weight omega of the perturbed one, so
+    lhs and rhs_bound refer to the same norm.
     """
-    # pert checks sup |g_shape| <= 1 at the grid nodes here, and wherever
-    # the solves sample it
+    cache = _cache_for(spec, cache)
+    m = _check_solver_grid(spec, grid)
     ts = grid.nodes()
-    pert(ts[ts >= 0.0])
-    cache = _cache_for(spec, options.get("ctrl"), cache)
-    x, report = picard_solve(spec, grid, cache=cache, extra_forcing=pert, **options)
+    # pert checks sup |g_shape| <= 1 at the grid nodes here, and wherever
+    # forced_at samples it
+    pert(ts[m:])
+    base = _base(spec, grid, cache)
+    perturbed = base.copy()
+    perturbed[m + 1 :] += forced_at(spec, pert, ts[m + 1 :], cache)
+    x, report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
     omega = report["omega"]
-    y, _ = picard_solve(spec, grid, cache=cache, **{**options, "omega": omega})
+    y, _ = picard_solve(spec, grid, cache=cache, base=base, **{**options, "omega": omega})
     lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, cache.ctrl)
     rhs_bound = pert.epsilon * uh_constant(spec, spec.rhs.lipschitz, omega)
     return UhResult(x, y, lhs, rhs_bound)

@@ -306,22 +306,19 @@ def test_mismatched_kernel_cache_rejected(small_sin_spec):
     grid = solver_grid(spec, 4)
     pos = grid.nodes()[grid.nodes() > 0.0]
     y = SolutionTrace(grid, np.zeros(grid.count))
-    ctrl = SeriesControl(rel_tol=1e-10)
-    for cache, call_ctrl in (
-        (KernelCache(make_spec(l=1, lam=-0.9, mu=0.6)), None),
-        (KernelCache(make_spec(l=1, h=0.5, phi=ShiftedPolynomial(-0.5, (1.0,)))), None),
-        (KernelCache(make_spec(l=1, alpha=1.7)), None),
-        (KernelCache(make_spec(l=1, beta=0.5)), None),
-        (KernelCache(spec, ctrl), None),
-        (KernelCache(spec), ctrl),
+    for cache in (
+        KernelCache(make_spec(l=1, lam=-0.9, mu=0.6)),
+        KernelCache(make_spec(l=1, h=0.5, phi=ShiftedPolynomial(-0.5, (1.0,)))),
+        KernelCache(make_spec(l=1, alpha=1.7)),
+        KernelCache(make_spec(l=1, beta=0.5)),
     ):
         for call in (
-            lambda: picard_solve(spec, grid, ctrl=call_ctrl, cache=cache),
-            lambda: apply_F(spec, y, call_ctrl, cache),
-            lambda: linear_solution(make_spec(l=1), grid, call_ctrl, cache),
-            lambda: homogeneous_at(spec, pos, call_ctrl, cache),
-            lambda: forced_at(spec, np.cos, pos, call_ctrl, cache),
-            lambda: convolve_kernel(spec, np.cos, 0.5, call_ctrl, cache),
+            lambda: picard_solve(spec, grid, cache=cache),
+            lambda: apply_F(spec, y, cache),
+            lambda: linear_solution(make_spec(l=1), grid, cache),
+            lambda: homogeneous_at(spec, pos, cache),
+            lambda: forced_at(spec, np.cos, pos, cache),
+            lambda: convolve_kernel(spec, np.cos, 0.5, cache),
         ):
             with pytest.raises(ValidationError, match="kernel cache"):
                 call()
@@ -335,8 +332,9 @@ def test_kernel_cache_shared_across_data_and_rhs(small_sin_spec):
     alone, _ = picard_solve(small_sin_spec, grid)
     assert np.array_equal(shared.values, alone.values)
     ctrl = SeriesControl(rel_tol=1e-10)
-    tuned, _ = picard_solve(small_sin_spec, grid, ctrl=ctrl, cache=KernelCache(other, ctrl))
-    assert np.array_equal(tuned.values, picard_solve(small_sin_spec, grid, ctrl=ctrl)[0].values)
+    tuned, _ = picard_solve(small_sin_spec, grid, cache=KernelCache(other, ctrl))
+    again, _ = picard_solve(small_sin_spec, grid, cache=KernelCache(small_sin_spec, ctrl))
+    assert np.array_equal(tuned.values, again.values)
 
 
 # ---------------------------------------------------------------------------

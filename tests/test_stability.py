@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from fracdelay import cli
+from fracdelay import cli, repsolver
 from fracdelay.errors import IterationLimitError, NonContractionError, ValidationError
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.repsolver import (
     KernelCache,
     ProblemSpec,
     RhsSpec,
+    _base,
     choose_omega,
+    forced_at,
     picard_solve,
     solver_grid,
 )
@@ -191,18 +193,35 @@ def test_perturbation_sampled_once_per_solve():
 
 
 def test_sampled_perturbation_matches_direct_forcing():
-    # the perturbed solve is picard_solve with the perturbation as extra
-    # forcing, to the last bit
+    # the perturbed solve is picard_solve on the exact base plus one sweep
+    # of the perturbation, to the last bit
     spec = make_spec()
     grid = solver_grid(spec, divisor=16)
     cache = KernelCache(spec)
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, tol=1e-8, cache=cache)
     omega = choose_omega(spec, spec.rhs.lipschitz, 2.0)
-    direct, _ = picard_solve(
-        spec, grid, tol=1e-8, omega=omega, cache=cache, extra_forcing=pert
-    )
+    m = grid.index_of(0.0)
+    forced = np.zeros(grid.count)
+    forced[m + 1 :] = forced_at(spec, pert, grid.nodes()[m + 1 :], cache)
+    b = _base(spec, grid, cache)
+    direct, _ = picard_solve(spec, grid, tol=1e-8, omega=omega, cache=cache, base=b + forced)
     assert np.array_equal(result.x.values, direct.values)
+
+
+def test_perturbed_solve_builds_one_base(monkeypatch):
+    # the exact and perturbed solves differ only in the base: the
+    # homogeneous term is computed once
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=8)
+    calls = []
+    homogeneous = repsolver.homogeneous_at
+    monkeypatch.setattr(
+        repsolver, "homogeneous_at", lambda *a, **k: calls.append(1) or homogeneous(*a, **k)
+    )
+    result = perturbed_solve(spec, PerturbationSpec(0.01, lambda t: np.cos(2.0 * t)), grid)
+    assert len(calls) == 1
+    assert result.x.meta["iterations"] > 0 and result.y.meta["iterations"] > 0
 
 
 def test_perturbed_solve_rejects_mismatched_cache():
@@ -211,11 +230,9 @@ def test_perturbed_solve_rejects_mismatched_cache():
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     with pytest.raises(ValidationError, match="kernel cache"):
         perturbed_solve(spec, pert, grid, cache=KernelCache(make_spec(mu=0.6)))
-    ctrl = SeriesControl(rel_tol=1e-10)
-    with pytest.raises(ValidationError, match="kernel cache"):
-        perturbed_solve(spec, pert, grid, cache=KernelCache(spec, ctrl))
-    # a cache with a non-default control serves the calls that name it
-    result = perturbed_solve(spec, pert, grid, ctrl=ctrl, cache=KernelCache(spec, ctrl))
+    # a cache with a non-default control serves both solves
+    tuned = KernelCache(spec, SeriesControl(rel_tol=1e-10))
+    result = perturbed_solve(spec, pert, grid, cache=tuned)
     assert 0.0 < result.lhs <= result.rhs_bound
 
 
