@@ -13,6 +13,7 @@ check for both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import NewtonError, ValidationError
 from .fraccalc import UniformGrid, _whole_steps, gl_derivative, gl_weights
 from .repsolver import ProblemSpec, SolutionTrace
+from .specfun import _is_count
 
 __all__ = ["OracleConfig", "ResidualReport", "gl_solve", "residual_check"]
 
@@ -33,13 +35,12 @@ class OracleConfig:
     newton_max: int = 50
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValidationError("oracle step must be positive")
-        if not self.newton_tol > 0:
-            raise ValidationError("newton_tol must be positive")
-        if int(self.newton_max) != self.newton_max or self.newton_max < 1:
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValidationError("oracle step must be finite and positive")
+        if not (math.isfinite(self.newton_tol) and self.newton_tol > 0):
+            raise ValidationError("newton_tol must be finite and positive")
+        if not (_is_count(self.newton_max) and self.newton_max >= 1):
             raise ValidationError("newton_max must be a positive integer")
-        object.__setattr__(self, "newton_max", int(self.newton_max))
 
     def delay_offset(self, h: float) -> int:
         """Number of grid steps per delay; validates divisibility and step <= h/8."""

@@ -37,6 +37,7 @@ from .fraccalc import ShiftedPolynomial, UniformGrid, _whole_steps, rl_derivativ
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
+    _is_count,
     delayed_ml_gen,
     delayed_ml_gen_many,
     gamma_fn,
@@ -483,7 +484,9 @@ def apply_F(
     def forcing(s: np.ndarray) -> np.ndarray:
         return rhs.kappa * rhs.shape_of(np.interp(s, nodes, y.values))
 
-    values = base.copy()
+    values = np.array(base, dtype=float)
+    if values.shape != (y.grid.count,):
+        raise ValidationError("base must hold one value per grid node")
     values[m + 1 :] += forced_at(spec, forcing, nodes[m + 1 :], cache)
     return SolutionTrace(y.grid, values, {"method": "apply_F"})
 
@@ -502,8 +505,8 @@ def weighted_norm(
     has them (``picard_solve`` computes them once per solve); by default
     they are evaluated here.
     """
-    if omega <= 0:
-        raise ValidationError("weighted_norm requires omega > 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValidationError("weighted_norm requires a finite omega > 0")
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if weights is None:
@@ -519,19 +522,19 @@ def _growth(spec: ProblemSpec) -> float:
 
 def contraction_factor(spec: ProblemSpec, L_f: float, omega: float) -> float:
     """q = (Gamma(alpha)/omega) * L_f * exp(|lam| T^{alpha-beta} + |mu| T^alpha)."""
-    if omega <= 0:
-        raise ValidationError("contraction_factor requires omega > 0")
-    if L_f < 0:
-        raise ValidationError("contraction_factor requires L_f >= 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValidationError("contraction_factor requires a finite omega > 0")
+    if not (math.isfinite(L_f) and L_f >= 0):
+        raise ValidationError("contraction_factor requires a finite L_f >= 0")
     return gamma_fn(spec.alpha) / omega * L_f * _growth(spec)
 
 
 def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
     """Weight that makes q = 1/margin: omega = margin * Gamma(alpha) L_f exp(...)."""
-    if margin <= 1.0:
-        raise ValidationError("omega margin must exceed 1")
-    if L_f <= 0:
-        raise ValidationError("choose_omega requires L_f > 0")
+    if not (math.isfinite(margin) and margin > 1.0):
+        raise ValidationError("omega margin must be finite and exceed 1")
+    if not (math.isfinite(L_f) and L_f > 0):
+        raise ValidationError("choose_omega requires a finite L_f > 0")
     return margin * gamma_fn(spec.alpha) * L_f * _growth(spec)
 
 
@@ -548,7 +551,8 @@ def picard_solve(
     """Banach fixed-point iteration for the nonlinear problem.
 
     ``base`` is the part of F that does not depend on y (``apply_F``), on
-    the grid; by default it is computed here, once per solve.  Starts from F applied to y = 0, applies F until
+    the grid; by default it is computed here, once per solve.  Starts from
+    F applied to y = 0, applies F until
     ||y_{k+1} - y_k||_omega <= tol*(1-q)/q, which bounds the weighted-norm
     distance to the fixed point by tol.  The sup-norm delta must also fall
     below tol before stopping: the weight at late times can exceed 1e7, so
@@ -558,7 +562,7 @@ def picard_solve(
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)) or max_iter < 1:
+    if not (_is_count(max_iter) and max_iter >= 1):
         raise ValidationError("picard_solve requires an integer max_iter >= 1")
     L_f = spec.rhs.lipschitz
     if omega is None:

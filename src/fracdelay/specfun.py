@@ -45,6 +45,11 @@ _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _EXP_SNAP = 1e-12  # tolerance for "this float is really an integer"
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer (numpy's included) and not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 @dataclass(frozen=True)
 class SeriesControl:
     """Truncation policy for every infinite series in the package."""
@@ -55,10 +60,10 @@ class SeriesControl:
     consecutive_small: int = 3
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValidationError("series tolerances must be positive")
-        if self.max_terms < 1 or self.consecutive_small < 1:
-            raise ValidationError("max_terms and consecutive_small must be >= 1")
+        if not all(math.isfinite(x) and x > 0 for x in (self.abs_tol, self.rel_tol)):
+            raise ValidationError("series tolerances must be finite and positive")
+        if not all(_is_count(n) and n >= 1 for n in (self.max_terms, self.consecutive_small)):
+            raise ValidationError("max_terms and consecutive_small must be integers >= 1")
 
     def threshold(self, partial: float) -> float:
         s = abs(partial)
@@ -167,10 +172,10 @@ def weight_ml(alpha: float, omega: float, t, ctrl: SeriesControl | None = None):
     ts = np.asarray(t, dtype=float)
     if not np.all((ts >= 0) & (ts < math.inf)):
         raise ValidationError("weight_ml requires finite t >= 0")
-    if omega <= 0:
-        raise ValidationError("weight_ml requires omega > 0")
-    if not alpha > 0:
-        raise ValidationError("weight_ml requires alpha > 0")
+    if not (math.isfinite(omega) and omega > 0):
+        raise ValidationError("weight_ml requires a finite omega > 0")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValidationError("weight_ml requires a finite alpha > 0")
     out = _delayed_series(1.0, alpha, 1.0, 1.0, omega, 0.0, ts, ctrl)
     return float(out) if out.ndim == 0 else out
 

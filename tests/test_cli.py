@@ -169,6 +169,18 @@ def test_empty_series_section_keeps_defaults(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_series_section_reaches_solve_and_uh(tmp_path, capsys):
+    # a two-term budget cannot sum the kernels: the solves must use it
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    for series, want in ((None, 0), ({"max_terms": 2}, 2)):
+        numerics = {"grid_divisor": 4, "series": series}
+        cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": numerics})
+        out = str(tmp_path / "y.csv")
+        assert cli.main(["solve", "--config", cfg, "--output", out]) == want
+        assert cli.main(["uh", "--config", cfg, "--epsilon", "0.01"]) == want
+    assert "did not converge in 2 terms" in capsys.readouterr().err
+
+
 def test_usage_errors():
     # unknown subcommand and unknown flag are usage errors, not crashes
     assert cli.main(["frobnicate"]) == 1

@@ -47,6 +47,15 @@ def test_config_validation():
         OracleConfig(step=0.1, newton_tol=0.0)
     with pytest.raises(ValidationError):
         OracleConfig(step=0.1, newton_max=0)
+    for bad in (
+        {"step": math.inf},
+        {"newton_tol": math.inf},
+        {"newton_tol": math.nan},
+        {"newton_max": 2.5},
+        {"newton_max": True},
+    ):
+        with pytest.raises(ValidationError):
+            OracleConfig(**{"step": 0.1, **bad})
 
 
 def test_delay_offset():

@@ -5,11 +5,13 @@ test_acceptance.py; here the problems are kept small (one delay interval,
 coarse grids) so each test runs in well under a second.
 """
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from fracdelay import repsolver
 from fracdelay.errors import (
     IterationLimitError,
     NonContractionError,
@@ -44,6 +46,7 @@ from fracdelay.specfun import (
     ml_kernel,
     weight_ml,
 )
+from fracdelay.stability import PerturbationSpec, perturbed_solve, uh_constant
 
 SQUARE_HISTORY = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))  # (t+h)^2 with h=1
 
@@ -337,6 +340,32 @@ def test_kernel_cache_shared_across_data_and_rhs(small_sin_spec):
     assert np.array_equal(tuned.values, again.values)
 
 
+def test_cache_control_reaches_every_series_evaluation(monkeypatch, small_sin_spec):
+    # the cache is the only carrier of the series control on the solve path:
+    # every series a solve sums must be summed under the cache's control
+    def recorder(series, calls):
+        signature = inspect.signature(series)
+
+        def record(*args, **kwargs):
+            calls.append(signature.bind(*args, **kwargs).arguments.get("ctrl"))
+            return series(*args, **kwargs)
+
+        return record
+
+    ctrl = SeriesControl(rel_tol=1e-10)
+    seen = {"delayed_ml_gen_many": [], "weight_ml": []}
+    for name, calls in seen.items():
+        monkeypatch.setattr(repsolver, name, recorder(getattr(repsolver, name), calls))
+    grid = solver_grid(small_sin_spec, 4)
+    linear = make_spec(l=1)
+    picard_solve(small_sin_spec, grid, cache=KernelCache(small_sin_spec, ctrl))
+    linear_solution(linear, solver_grid(linear, 4), cache=KernelCache(linear, ctrl))
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
+    perturbed_solve(small_sin_spec, pert, grid, cache=KernelCache(small_sin_spec, ctrl))
+    for calls in seen.values():
+        assert calls and all(c is ctrl for c in calls)
+
+
 # ---------------------------------------------------------------------------
 # phi_source / convolve_kernel
 # ---------------------------------------------------------------------------
@@ -623,6 +652,30 @@ def test_choose_omega_margins(spec6):
         choose_omega(spec6, 0.0)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
+    # a NaN weight once ran 10,000 series terms into a convergence error,
+    # an infinite one overflowed, and the closed forms returned NaN
+    spec = small_sin_spec
+    grid = solver_grid(spec, 4)
+    ts = np.linspace(0.0, 1.0, 5)
+    for call in (
+        lambda: weight_ml(1.6, x, ts),
+        lambda: weight_ml(x, 1.0, ts),
+        lambda: weighted_norm(ts, np.ones(5), x, 1.6),
+        lambda: picard_solve(spec, grid, omega=x),
+        lambda: picard_solve(spec, grid, margin=x),
+        lambda: contraction_factor(spec, 0.25, x),
+        lambda: contraction_factor(spec, x, 10.0),
+        lambda: choose_omega(spec, 0.25, x),
+        lambda: choose_omega(spec, x),
+        lambda: uh_constant(spec, 0.25, x),
+        lambda: uh_constant(spec, x, 10.0),
+    ):
+        with pytest.raises(ValidationError):
+            call()
+
+
 def test_apply_F_is_a_contraction(small_sin_spec):
     spec = small_sin_spec
     grid = solver_grid(spec, divisor=16)
@@ -681,6 +734,20 @@ def test_picard_non_contraction(small_sin_spec):
     grid = solver_grid(small_sin_spec, divisor=8)
     with pytest.raises(NonContractionError):
         picard_solve(small_sin_spec, grid, omega=1e-6)
+
+
+def test_picard_base_is_the_y_independent_part(small_sin_spec):
+    # a given base replaces the computed one, and must cover the grid
+    spec = small_sin_spec
+    grid = solver_grid(spec, divisor=8)
+    cache = KernelCache(spec)
+    alone, _ = picard_solve(spec, grid, cache=cache)
+    zero = SolutionTrace(grid, np.zeros(grid.count))
+    base = apply_F(spec, zero, cache).values  # shape sin: F(0) is the base
+    given, _ = picard_solve(spec, grid, cache=cache, base=base)
+    assert np.array_equal(given.values, alone.values)
+    with pytest.raises(ValidationError, match="base"):
+        picard_solve(spec, grid, cache=cache, base=base[:-1])
 
 
 def test_picard_iteration_limit(small_sin_spec):

@@ -50,6 +50,16 @@ def test_series_control_defaults():
         {"rel_tol": 0.0},
         {"max_terms": 0},
         {"consecutive_small": 0},
+        # an infinite tolerance stops every series after consecutive_small
+        # terms (E_{1,1}(1) = 2.5, not e)
+        {"abs_tol": math.inf},
+        {"rel_tol": math.inf},
+        {"abs_tol": math.nan},
+        {"rel_tol": math.nan},
+        {"max_terms": 1.5},
+        {"max_terms": True},
+        {"consecutive_small": 3.0},
+        {"consecutive_small": True},
     ],
 )
 def test_series_control_rejects_bad_fields(kwargs):
