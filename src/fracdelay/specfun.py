@@ -5,18 +5,21 @@ Everything here is a pure function of its arguments.  All infinite series
 share one truncation policy (:class:`SeriesControl`): a term is "negligible"
 when it is below ``max(abs_tol * max(1, |partial|), rel_tol * |partial|)``,
 and summation stops once ``consecutive_small`` successive terms are
-negligible.  Terms are evaluated in log space,
+negligible.  One helper, ``_sum_terms``, applies it to every term-by-term
+sum.  Terms are evaluated in log space,
 
     sign * exp(n*log|lam| + k*log|mu| + e*log(t - k*h)
                + log C(n+k, k) - log Gamma(e + 1)),
 
 so that binomials and gamma factors never overflow individually.  The
 delayed series and E_{a,b} (its row k = 0 at t = 1) are summed by one
-array-valued engine, ``_delayed_series``.
+array-valued engine, ``_delayed_series``.  Double series stop over rows
+by the same rule applied to each row's largest term.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -52,7 +55,12 @@ def _is_count(n) -> bool:
 
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for every infinite series in the package."""
+    """Truncation policy for every infinite series in the package.
+
+    ``max_terms`` caps each term-by-term sum at that many terms, and each
+    double series at that many rows; a sum that needs more raises
+    :class:`SeriesConvergenceError`.
+    """
 
     abs_tol: float = 1e-14
     rel_tol: float = 1e-12
@@ -180,6 +188,35 @@ def weight_ml(alpha: float, omega: float, t, ctrl: SeriesControl | None = None):
     return float(out) if out.ndim == 0 else out
 
 
+def _sum_terms(terms, ctrl: SeriesControl, partial: float = 0.0, *, where: str):
+    """Add the terms of one series to ``partial`` under the stop rule of ``ctrl``.
+
+    ``terms`` yields (sign, log|term|); log|term| = -inf is a zero term (a
+    denominator pole).  The sum stops after ``ctrl.consecutive_small``
+    negligible terms in a row or when ``terms`` ends, and raises once more
+    than ``ctrl.max_terms`` terms would be needed.  Returns the sum and the
+    largest |term|.
+    """
+    peak = 0.0
+    quiet = 0
+    for count, (sign, logmag) in enumerate(terms, 1):
+        if count > ctrl.max_terms:
+            raise SeriesConvergenceError(f"{where} did not converge in {ctrl.max_terms} terms")
+        if logmag > _LOG_MAX:
+            raise OverflowError(f"{where} term overflow at term {count - 1}")
+        mag = math.exp(logmag)
+        partial += sign * mag
+        if mag > peak:
+            peak = mag
+        if mag < ctrl.threshold(partial):
+            quiet += 1
+            if quiet >= ctrl.consecutive_small:
+                break
+        else:
+            quiet = 0
+    return partial, peak
+
+
 def wright_series(spec: WrightSpec, z: float, ctrl: SeriesControl | None = None) -> float:
     """Generalized Wright function pPsi_q(z) for real parameters.
 
@@ -195,47 +232,33 @@ def wright_series(spec: WrightSpec, z: float, ctrl: SeriesControl | None = None)
             f"wright_series divergent: margin {spec.margin} must exceed -1"
         )
     log_z = math.log(abs(z)) if z != 0.0 else None
-    total = 0.0
-    quiet = 0
-    for k in range(ctrl.max_terms):
-        sign = 1.0
-        logmag = -math.lgamma(k + 1.0)
-        pole_term = False
-        for lam_l, al_l in spec.upper_params:
-            arg = lam_l + al_l * k
-            if _is_nonpositive_integer(arg):
-                raise PoleError(f"wright_series numerator pole at k={k}, argument {arg}")
-            logmag += _lgamma(arg)
-            sign *= _gamma_sign(arg)
-        for b_j, be_j in spec.lower_params:
-            arg = b_j + be_j * k
-            if _is_nonpositive_integer(arg):
-                pole_term = True
-                break
-            logmag -= _lgamma(arg)
-            sign *= _gamma_sign(arg)
-        if pole_term:
-            term = 0.0
-        else:
+
+    def terms():
+        for k in itertools.count():
+            if k and log_z is None:
+                return
+            sign = 1.0
+            logmag = -math.lgamma(k + 1.0)
+            for lam_l, al_l in spec.upper_params:
+                arg = lam_l + al_l * k
+                if _is_nonpositive_integer(arg):
+                    raise PoleError(f"wright_series numerator pole at k={k}, argument {arg}")
+                logmag += _lgamma(arg)
+                sign *= _gamma_sign(arg)
+            for b_j, be_j in spec.lower_params:
+                arg = b_j + be_j * k
+                if _is_nonpositive_integer(arg):
+                    logmag = -math.inf  # 1/Gamma vanishes at a pole
+                    break
+                logmag -= _lgamma(arg)
+                sign *= _gamma_sign(arg)
             if k:
-                if log_z is None:
-                    break  # z == 0: series terminates after k=0
                 logmag += k * log_z
                 if z < 0 and k % 2:
                     sign = -sign
-            if logmag > _LOG_MAX:
-                raise OverflowError(f"wright_series term overflow at k={k}")
-            term = sign * math.exp(logmag)
-        total += term
-        if abs(term) < ctrl.threshold(total):
-            quiet += 1
-            if quiet >= ctrl.consecutive_small:
-                return total
-        else:
-            quiet = 0
-    if log_z is None:
-        return total
-    raise SeriesConvergenceError(f"wright_series did not converge in {ctrl.max_terms} terms")
+            yield sign, logmag
+
+    return _sum_terms(terms(), ctrl, where="wright_series")[0]
 
 
 def g_function(
@@ -250,6 +273,8 @@ def g_function(
 
     G = sum_n sum_k C(n+k,k) lam^n mu^k t^{alpha n + (alpha-beta) k}
         / Gamma(alpha n + (alpha-beta) k + alpha).
+
+    Row k is the sum over n.
     """
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
     if not (1.0 < alpha <= 2.0 and 0.0 < beta < 1.0 and alpha - beta > 1.0):
@@ -260,17 +285,12 @@ def g_function(
     log_lam = math.log(abs(lam)) if lam != 0.0 else None
     log_mu = math.log(abs(mu)) if mu != 0.0 else None
     lgamma = math.lgamma
-    total = 0.0
-    quiet_rows = 0
-    for k in range(ctrl.max_terms):
-        if k and log_mu is None:
-            break
-        row_peak = 0.0
-        quiet = 0
-        n = 0
-        while True:
+
+    def row(k):
+        k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
+        for n in itertools.count():
             if n and log_lam is None:
-                break
+                return
             e = alpha * n + (alpha - beta) * k
             logmag = (
                 (n * log_lam if n else 0.0)
@@ -281,25 +301,14 @@ def g_function(
                 + e * log_t
                 - lgamma(e + alpha)
             )
-            if logmag > _LOG_MAX:
-                raise OverflowError(f"g_function term overflow at (n={n}, k={k})")
-            term = math.exp(logmag)
-            if lam < 0 and n % 2:
-                term = -term
-            if mu < 0 and k % 2:
-                term = -term
-            total += term
-            mag = abs(term)
-            row_peak = max(row_peak, mag)
-            if mag < ctrl.threshold(total):
-                quiet += 1
-                if quiet >= ctrl.consecutive_small:
-                    break
-            else:
-                quiet = 0
-            n += 1
-            if n > ctrl.max_terms:
-                raise SeriesConvergenceError("g_function inner sum did not converge")
+            yield (-k_sign if (lam < 0 and n % 2) else k_sign), logmag
+
+    total = 0.0
+    quiet_rows = 0
+    for k in range(ctrl.max_terms):
+        if k and log_mu is None:
+            break
+        total, row_peak = _sum_terms(row(k), ctrl, total, where=f"g_function row k={k}")
         if row_peak < ctrl.threshold(total):
             quiet_rows += 1
             if quiet_rows >= ctrl.consecutive_small:
@@ -308,7 +317,7 @@ def g_function(
             quiet_rows = 0
     if log_mu is None:
         return total
-    raise SeriesConvergenceError("g_function outer sum did not converge")
+    raise SeriesConvergenceError(f"g_function did not converge in {ctrl.max_terms} rows")
 
 
 def delayed_ml_piecewise(
@@ -348,40 +357,30 @@ def delayed_ml_piecewise(
 def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
     """Exponents e, log-coefficients and signs of the terms of delay row k.
 
-    The term count is the scalar stop rule run at base exp(log_base), where
-    the row's terms are largest, on the signed partial sum ``partial`` that
-    the earlier rows left there.  Term n is sign * exp(coef + e * log(base)).
+    The term count is the stop rule of :func:`_sum_terms` run at base
+    exp(log_base), where the row's terms are largest, on the signed partial
+    sum ``partial`` that the earlier rows left there.  Term n is
+    sign * exp(coef + e * log(base)).
     """
     lgamma = math.lgamma
     log_lam = math.log(abs(lam)) if lam != 0.0 else 0.0
     k_log = (k * math.log(abs(mu)) if k else 0.0) - lgamma(k + 1.0)
     k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
     es, coefs, signs = [], [], []
-    quiet = 0
-    for n in range(ctrl.max_terms + 1):
-        e = k * gamma + n * a + b - 1.0
-        coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
-        sign = -k_sign if (lam < 0 and n % 2) else k_sign
-        es.append(e)
-        coefs.append(coef)
-        signs.append(sign)
-        logmag = coef + e * log_base
-        if logmag > _LOG_MAX:
-            raise OverflowError(f"series term overflow at (n={n}, k={k})")
-        if lam == 0.0:
-            break
-        term = math.exp(logmag)
-        partial += sign * term
-        if term < ctrl.threshold(partial):
-            quiet += 1
-            if quiet >= ctrl.consecutive_small:
-                break
-        else:
-            quiet = 0
-    else:
-        raise SeriesConvergenceError(
-            f"series row k={k} did not converge in {ctrl.max_terms} terms"
-        )
+
+    def terms():
+        for n in itertools.count():
+            e = k * gamma + n * a + b - 1.0
+            coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
+            sign = -k_sign if (lam < 0 and n % 2) else k_sign
+            es.append(e)
+            coefs.append(coef)
+            signs.append(sign)
+            yield sign, coef + e * log_base
+            if lam == 0.0:
+                return
+
+    _sum_terms(terms(), ctrl, partial, where=f"series row k={k}")
     return np.array(es), np.array(coefs), np.array(signs)
 
 
@@ -405,8 +404,8 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     for k in range(int(last_row.max(initial=-1.0)) + 1):
         if k and mu == 0.0:
             break
-        if k > ctrl.max_terms:
-            raise SeriesConvergenceError("delay sum did not converge")
+        if k >= ctrl.max_terms:
+            raise SeriesConvergenceError(f"delay sum did not converge in {ctrl.max_terms} rows")
         at = np.nonzero(last_row >= k)[0]
         base = t[at] - k * h
         regular = base > 0.0

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from fracdelay.errors import PoleError, ValidationError
+from fracdelay.errors import PoleError, SeriesConvergenceError, ValidationError
 from fracdelay.specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -202,10 +202,42 @@ def test_ml_large_argument_within_tested_range():
 
 def test_ml_nonconvergence_small_budget():
     tiny = SeriesControl(max_terms=3)
-    from fracdelay.errors import SeriesConvergenceError
-
     with pytest.raises(SeriesConvergenceError):
         mittag_leffler(0.5, 1.0, 20.0, tiny)
+
+
+def test_max_terms_counts_terms_in_every_sum():
+    # one series, z^k / Gamma(2k + 2) at z = -8.67, that stops after its
+    # 15th term, summed three ways: max_terms=15 must do, 14 must not
+    z = -8.67
+    sums = (
+        lambda c: mittag_leffler(2.0, 2.0, z, c),
+        lambda c: g_function(2.0, 0.5, -3.0, 0.0, 1.7, c),  # lam t^2 = z
+        lambda c: wright_series(WrightSpec([(1.0, 1.0)], [(2.0, 2.0)]), z, c),
+    )
+    values = [total(SeriesControl(max_terms=15)) for total in sums]
+    assert values == pytest.approx([values[0]] * 3, rel=1e-14)
+    for total in sums:
+        with pytest.raises(SeriesConvergenceError, match="in 14 terms"):
+            total(SeriesControl(max_terms=14))
+
+
+def test_max_terms_counts_delay_rows():
+    # t = 5.5 with h = 1 reaches delay rows k = 0..5; at lam = 0 each row
+    # is one term, and none of them is negligible
+    def row_sum(c):
+        return delayed_ml_gen(1.0, 1.0, 1.0, 1.0, 0.0, 50.0, 5.5, c)
+
+    assert row_sum(SeriesControl(max_terms=6)) == row_sum(DEFAULT_CONTROL)
+    with pytest.raises(SeriesConvergenceError, match="in 5 rows"):
+        row_sum(SeriesControl(max_terms=5))
+
+
+def test_term_overflow_names_its_sum():
+    with pytest.raises(OverflowError, match="g_function row k=0 term overflow"):
+        g_function(2.0, 0.5, 1e300, 0.0, 1.7)
+    with pytest.raises(OverflowError, match="series row k=2 term overflow"):
+        delayed_ml_gen(1.0, 1.0, 1.0, 1.0, 0.0, 1e300, 3.0)
 
 
 # ---------------------------------------------------------------------------
