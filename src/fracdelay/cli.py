@@ -259,7 +259,7 @@ _EVAL_FUNCTIONS = {
     "dml-piecewise": (
         dict(real="h a b mu"),
         "h a b",
-        lambda p, t, c: delayed_ml_piecewise(p["h"], p["a"], p["b"], p["mu"], t, c),
+        lambda p, t, c: delayed_ml_piecewise(p["h"], p["a"], p["b"], p["mu"], t),
     ),
     "dml-gen": (
         dict(real="h a b gamma lambda mu"),

@@ -1,7 +1,7 @@
 """Riemann-Liouville fractional calculus helpers.
 
 Polynomial history data is kept in exactly-differentiable form
-(:class:`ShiftedPolynomial`), so RL derivatives and integrals of the history
+(:class:`ShiftedPolynomial`), so RL derivatives of the history
 are evaluated by the power rule with no numerical differentiation.  Sampled
 data on a :class:`UniformGrid` goes through the Gruenwald-Letnikov weights,
 which cover both orders of the problem (beta in (0,1) and alpha in (1,2])
@@ -23,7 +23,6 @@ __all__ = [
     "ShiftedPolynomial",
     "rl_derivative_power",
     "rl_derivative_poly",
-    "rl_integral_poly",
     "gl_weights",
     "gl_derivative",
     "derive_initial_data",
@@ -133,26 +132,6 @@ def rl_derivative_poly(p: ShiftedPolynomial, order: float, t):
     for m, c in enumerate(p.coeffs):
         if c != 0.0:
             total += c * rl_derivative_power(p.base, float(m), order, t)
-    return total
-
-
-def rl_integral_poly(p: ShiftedPolynomial, order: float, t: float) -> float:
-    """RL integral I^order of a shifted polynomial; exponents are raised.
-
-    Each term maps to Gamma(m+1)/Gamma(m+order+1) (t-a)^{m+order}.  The value
-    at t == base is 0 (all exponents are positive there).
-    """
-    if order <= 0:
-        raise ValidationError("rl_integral_poly requires order > 0")
-    if t < p.base:
-        raise ValidationError("rl_integral_poly requires t >= base")
-    if t == p.base:
-        return 0.0
-    total = 0.0
-    for m, c in enumerate(p.coeffs):
-        if c != 0.0:
-            coef = gamma_fn(m + 1.0) * recip_gamma(m + order + 1.0)
-            total += c * coef * (t - p.base) ** (m + order)
     return total
 
 

@@ -52,7 +52,6 @@ __all__ = [
     "KernelCache",
     "kernel_main",
     "kernel_companion",
-    "phi_source",
     "convolve_kernel",
     "homogeneous_at",
     "forced_at",
@@ -287,17 +286,6 @@ def _history_source(spec: ProblemSpec, s):
     )
 
 
-def phi_source(spec: ProblemSpec, s):
-    """g(s) = D^alpha phi(s) - lam * D^beta phi(s), exact for polynomial phi.
-
-    ``s`` is a time or an array of times in (-h, 0].
-    """
-    s_arr = np.asarray(s, dtype=float)
-    if not np.all((s_arr > -spec.h) & (s_arr <= 0.0)):
-        raise ValidationError("phi_source is defined on (-h, 0]")
-    return _history_source(spec, s)
-
-
 def _series_terms(spec: ProblemSpec) -> list[tuple[float, float]]:
     """Nonzero (b, coef) of sum coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t+h).
 
@@ -404,7 +392,7 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
 
         c1 * K1(t+h) + c2 * K2(t+h) + integral_{-h}^{min(t,0)} K1(t-s) g(s) ds,
 
-    with K1/K2 the main/companion kernels and g = phi_source.  The upper limit
+    with K1/K2 the main/companion kernels and g = _history_source.  The upper limit
     min(t, 0) reflects that g is built from phi, which lives on [-h, 0]: the
     integral is taken in closed form up to t, less its part over [0, t].
     ``t`` is one time (float result) or an array of times (see
@@ -529,10 +517,14 @@ def contraction_factor(spec: ProblemSpec, L_f: float, omega: float) -> float:
     return gamma_fn(spec.alpha) / omega * L_f * _growth(spec)
 
 
-def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
-    """Weight that makes q = 1/margin: omega = margin * Gamma(alpha) L_f exp(...)."""
+def _check_margin(margin: float) -> None:
     if not (math.isfinite(margin) and margin > 1.0):
         raise ValidationError("omega margin must be finite and exceed 1")
+
+
+def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
+    """Weight that makes q = 1/margin: omega = margin * Gamma(alpha) L_f exp(...)."""
+    _check_margin(margin)
     if not (math.isfinite(L_f) and L_f > 0):
         raise ValidationError("choose_omega requires a finite L_f > 0")
     return margin * gamma_fn(spec.alpha) * L_f * _growth(spec)
@@ -564,6 +556,7 @@ def picard_solve(
         raise ValidationError("picard_solve requires a finite tol > 0")
     if not (_is_count(max_iter) and max_iter >= 1):
         raise ValidationError("picard_solve requires an integer max_iter >= 1")
+    _check_margin(margin)
     L_f = spec.rhs.lipschitz
     if omega is None:
         omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0

@@ -326,7 +326,6 @@ def delayed_ml_piecewise(
     b: float,
     mu: float,
     t: float,
-    ctrl: SeriesControl | None = None,
 ) -> float:
     """Delayed Mittag-Leffler-type function of two parameters, piecewise form.
 
@@ -337,9 +336,8 @@ def delayed_ml_piecewise(
     * ``sum_{j=0}^{k} mu^j (t-(j-1)h)^{ja+b-1}/Gamma(ja+b)`` for
       (k-1)h < t <= kh with k >= 1.
 
-    ``ctrl`` is accepted for interface uniformity; every branch is a finite sum.
+    Every branch is a finite sum.
     """
-    del ctrl
     if not (h > 0 and a > 0 and b > 0 and math.isfinite(t)):
         raise ValidationError("delayed_ml_piecewise requires h, a, b > 0 and a finite t")
     if t <= -h:

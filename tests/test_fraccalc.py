@@ -16,7 +16,6 @@ from fracdelay.fraccalc import (
     gl_weights,
     rl_derivative_poly,
     rl_derivative_power,
-    rl_integral_poly,
 )
 
 
@@ -129,7 +128,7 @@ def test_power_rule_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# rl_derivative_poly / rl_integral_poly
+# rl_derivative_poly
 # ---------------------------------------------------------------------------
 
 
@@ -159,31 +158,6 @@ def test_poly_derivative_history_shape():
     for s in (-0.5, 0.0):
         expected = 2.0 / math.gamma(3.0 - alpha) * (s + h) ** (2.0 - alpha)
         assert rl_derivative_poly(p, alpha, s) == pytest.approx(expected, rel=1e-12)
-
-
-def test_integral_poly_order_one():
-    p = ShiftedPolynomial(0.0, (1.0,))
-    assert rl_integral_poly(p, 1.0, 3.0) == pytest.approx(3.0, rel=1e-14)
-
-
-def test_integral_poly_half_order_of_t():
-    p = ShiftedPolynomial(0.0, (0.0, 1.0))
-    got = rl_integral_poly(p, 0.5, 1.0)
-    assert got == pytest.approx(math.gamma(2.0) / math.gamma(2.5), rel=1e-12)
-    assert got == pytest.approx(0.752252778, rel=1e-8)
-
-
-def test_integral_poly_vanishes_at_base():
-    p = ShiftedPolynomial(1.5, (0.0, 0.0, 1.0))
-    assert rl_integral_poly(p, 0.7, 1.5) == 0.0
-
-
-def test_integral_poly_validation():
-    p = ShiftedPolynomial(0.0, (1.0,))
-    with pytest.raises(ValidationError):
-        rl_integral_poly(p, 0.0, 1.0)
-    with pytest.raises(ValidationError):
-        rl_integral_poly(p, 0.5, -0.5)
 
 
 def test_integral_then_derivative_is_identity():

@@ -33,7 +33,6 @@ from fracdelay.repsolver import (
     kernel_companion,
     kernel_main,
     linear_solution,
-    phi_source,
     picard_solve,
     solver_grid,
     weighted_norm,
@@ -367,26 +366,19 @@ def test_cache_control_reaches_every_series_evaluation(monkeypatch, small_sin_sp
 
 
 # ---------------------------------------------------------------------------
-# phi_source / convolve_kernel
+# _history_source / convolve_kernel
 # ---------------------------------------------------------------------------
 
 
 def test_phi_source_zero_history():
     spec = make_spec(phi=ShiftedPolynomial(-1.0, ()))
-    assert phi_source(spec, -0.5) == 0.0
+    assert repsolver._history_source(spec, -0.5) == 0.0
 
 
 def test_phi_source_square_history(spec6):
     # D^1.6 (t+1)^2 - (-0.5) D^0.4 (t+1)^2 at t=0
     expected = 2.0 / math.gamma(1.4) + 1.0 / math.gamma(2.6)
-    assert phi_source(spec6, 0.0) == pytest.approx(expected, rel=1e-12)
-
-
-def test_phi_source_domain(spec6):
-    with pytest.raises(ValidationError):
-        phi_source(spec6, -1.0)
-    with pytest.raises(ValidationError):
-        phi_source(spec6, 0.1)
+    assert repsolver._history_source(spec6, 0.0) == pytest.approx(expected, rel=1e-12)
 
 
 def test_convolve_zero_source(spec6):
@@ -655,8 +647,10 @@ def test_choose_omega_margins(spec6):
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
     # a NaN weight once ran 10,000 series terms into a convergence error,
-    # an infinite one overflowed, and the closed forms returned NaN
+    # an infinite one overflowed, and the closed forms returned NaN; a
+    # margin is checked even where no omega is chosen from it
     spec = small_sin_spec
+    linear = make_spec(l=1)
     grid = solver_grid(spec, 4)
     ts = np.linspace(0.0, 1.0, 5)
     for call in (
@@ -665,6 +659,8 @@ def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
         lambda: weighted_norm(ts, np.ones(5), x, 1.6),
         lambda: picard_solve(spec, grid, omega=x),
         lambda: picard_solve(spec, grid, margin=x),
+        lambda: picard_solve(spec, grid, omega=40.0, margin=x),
+        lambda: picard_solve(linear, solver_grid(linear, 4), margin=x),
         lambda: contraction_factor(spec, 0.25, x),
         lambda: contraction_factor(spec, x, 10.0),
         lambda: choose_omega(spec, 0.25, x),
@@ -819,16 +815,6 @@ SEED_FORCED_COS2 = {
     2.55: -0.288165677940157,
     3.0: -0.2291103173295364,
 }
-
-
-def test_threaded_solve_is_deterministic(spec6, monkeypatch):
-    # FRACDELAY_THREADS no longer selects anything: a solve with it set is
-    # bit-identical to one without
-    grid = solver_grid(spec6, divisor=8)
-    serial = linear_solution(spec6, grid)
-    monkeypatch.setenv("FRACDELAY_THREADS", "2")
-    threaded = linear_solution(spec6, grid)
-    assert np.array_equal(serial.values, threaded.values)
 
 
 def test_picard_matches_frozen_seed_values():
