@@ -161,7 +161,6 @@ def _parse_problem(cfg: dict) -> ProblemSpec:
 _SOLVER_KEYWORDS = {
     "grid_divisor": "divisor",
     "picard_tol": "tol",
-    "omega_margin": "margin",
     "omega": "omega",
     "max_iter": "max_iter",
 }
@@ -170,9 +169,7 @@ _SOLVER_KEYWORDS = {
 def _parse_numerics(cfg: dict) -> tuple[dict, dict, SeriesControl | None]:
     """The solver_grid keywords and the picard_solve keywords the config
     sets, and its series control (None: the default)."""
-    fields = dict(
-        integer="grid_divisor max_iter", real="picard_tol omega_margin omega", object="series"
-    )
+    fields = dict(integer="grid_divisor max_iter", real="picard_tol omega", object="series")
     node = _section(cfg.get("numerics", {}), "numerics", fields)
     if "omega" in node and not node["omega"] > 0:
         raise ValidationError("numerics.omega must be positive (omit it for the automatic weight)")

@@ -160,7 +160,7 @@ class ProblemSpec:
             raise ValidationError("alpha - beta must exceed 1")
         if not self.h > 0:
             raise ValidationError("delay h must be positive")
-        if int(self.l) != self.l or self.l < 1:
+        if not (_is_count(self.l) and self.l >= 1):
             raise ValidationError("l must be a positive integer (T = l*h)")
         object.__setattr__(self, "l", int(self.l))
         if abs(self.phi.base - (-self.h)) > 1e-12 * max(1.0, self.h):
@@ -188,7 +188,7 @@ class SolutionTrace:
 
 def solver_grid(spec: ProblemSpec, divisor: int = 128) -> UniformGrid:
     """Default uniform grid over [-h, T] with step h/divisor."""
-    if int(divisor) != divisor or divisor < 1:
+    if not (_is_count(divisor) and divisor >= 1):
         raise ValidationError("grid divisor must be a positive integer")
     step = spec.h / int(divisor)
     return UniformGrid(-spec.h, step, int(divisor) * (spec.l + 1) + 1)
@@ -517,17 +517,11 @@ def contraction_factor(spec: ProblemSpec, L_f: float, omega: float) -> float:
     return gamma_fn(spec.alpha) / omega * L_f * _growth(spec)
 
 
-def _check_margin(margin: float) -> None:
-    if not (math.isfinite(margin) and margin > 1.0):
-        raise ValidationError("omega margin must be finite and exceed 1")
-
-
-def choose_omega(spec: ProblemSpec, L_f: float, margin: float = 2.0) -> float:
-    """Weight that makes q = 1/margin: omega = margin * Gamma(alpha) L_f exp(...)."""
-    _check_margin(margin)
+def choose_omega(spec: ProblemSpec, L_f: float) -> float:
+    """Weight that makes q = 1/2: omega = 2 Gamma(alpha) L_f exp(...)."""
     if not (math.isfinite(L_f) and L_f > 0):
         raise ValidationError("choose_omega requires a finite L_f > 0")
-    return margin * gamma_fn(spec.alpha) * L_f * _growth(spec)
+    return 2.0 * gamma_fn(spec.alpha) * L_f * _growth(spec)
 
 
 def picard_solve(
@@ -535,31 +529,30 @@ def picard_solve(
     grid: UniformGrid,
     tol: float = 1e-8,
     max_iter: int = 100,
-    margin: float = 2.0,
     omega: float | None = None,
     cache: KernelCache | None = None,
     base: np.ndarray | None = None,
 ) -> tuple[SolutionTrace, dict]:
     """Banach fixed-point iteration for the nonlinear problem.
 
-    ``base`` is the part of F that does not depend on y (``apply_F``), on
-    the grid; by default it is computed here, once per solve.  Starts from
-    F applied to y = 0, applies F until
-    ||y_{k+1} - y_k||_omega <= tol*(1-q)/q, which bounds the weighted-norm
-    distance to the fixed point by tol.  The sup-norm delta must also fall
-    below tol before stopping: the weight at late times can exceed 1e7, so
-    the weighted criterion alone would leave visible absolute error there.
-    Returns the trace and a report with {iterations, final_delta, q, omega,
-    deltas, ratios} (plus the sup-norm delta history).
+    ``base`` is the part b of F that does not depend on y (``apply_F``), on
+    the grid; by default it is computed here, once per solve.  The weight
+    ``omega`` defaults to ``choose_omega``'s, which makes q = 1/2.  Starts
+    from y_0 = b and applies F until ||y_{k+1} - y_k||_omega <= tol*(1-q)/q,
+    which bounds the weighted-norm distance to the fixed point by tol.  The
+    sup-norm delta must also fall below tol before stopping: the weight at
+    late times can exceed 1e7, so the weighted criterion alone would leave
+    visible absolute error there.  Returns the trace and a report with
+    {iterations, final_delta, q, omega, deltas, deltas_sup, weights}, the
+    last being the weights at the nodes t >= 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
     if not (_is_count(max_iter) and max_iter >= 1):
         raise ValidationError("picard_solve requires an integer max_iter >= 1")
-    _check_margin(margin)
     L_f = spec.rhs.lipschitz
     if omega is None:
-        omega = choose_omega(spec, L_f, margin) if L_f > 0 else 1.0
+        omega = choose_omega(spec, L_f) if L_f > 0 else 1.0
     q = contraction_factor(spec, L_f, omega)
     if q >= 1.0:
         raise NonContractionError(
@@ -568,7 +561,9 @@ def picard_solve(
     cache = _cache_for(spec, cache)
     if base is None:
         base = _base(spec, grid, cache)
-    y = apply_F(spec, SolutionTrace(grid, np.zeros(grid.count)), cache, base)
+    elif np.shape(base) != (grid.count,):
+        raise ValidationError("base must hold one value per grid node")
+    y = SolutionTrace(grid, base)
     ts = grid.nodes()
     weights = weight_ml(spec.alpha, omega, ts[ts >= 0.0], cache.ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
@@ -582,9 +577,6 @@ def picard_solve(
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next
         if delta <= threshold and deltas_sup[-1] <= tol:
-            ratios = [
-                deltas[i + 1] / deltas[i] for i in range(len(deltas) - 1) if deltas[i] > 0
-            ]
             report = {
                 "iterations": iteration,
                 "final_delta": delta,
@@ -592,7 +584,7 @@ def picard_solve(
                 "omega": omega,
                 "deltas": deltas,
                 "deltas_sup": deltas_sup,
-                "ratios": ratios,
+                "weights": weights,
             }
             meta = {"method": "picard", "tol": tol, **report}
             return SolutionTrace(grid, y.values, meta), report

@@ -214,6 +214,8 @@ def _sum_terms(terms, ctrl: SeriesControl, partial: float = 0.0, *, where: str):
                 break
         else:
             quiet = 0
+    if not math.isfinite(partial):
+        raise OverflowError(f"{where} sum overflow")
     return partial, peak
 
 
@@ -424,7 +426,10 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
                 k, a, b, gamma, lam, mu, float(logb[top]), float(acc[at[regular][top]]), ctrl
             )
             logmat = coefs[:, None] + es[:, None] * logb
-            row[regular] = signs @ np.exp(logmat)
+            with np.errstate(over="ignore"):
+                row[regular] = signs @ np.exp(logmat)
+            if not np.isfinite(row[regular]).all():
+                raise OverflowError(f"series row k={k} sum overflow")
             peak[regular] = np.exp(logmat.max(axis=0))
         acc[at] += row
         s = np.abs(acc[at])

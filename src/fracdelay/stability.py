@@ -82,13 +82,13 @@ def perturbed_solve(
 ) -> UhResult:
     """Solve the perturbed and exact problems and evaluate the UH inequality.
 
-    ``options`` are ``picard_solve``'s (``tol``, ``max_iter``, ``margin``,
-    ``omega``) and go to both solves.  Both share one kernel cache, whose
+    ``options`` are ``picard_solve``'s (``tol``, ``max_iter``, ``omega``)
+    and go to both solves, so both use the same weight omega and lhs and
+    rhs_bound refer to the same norm.  Both share one kernel cache, whose
     series control they use, and the base of F (``picard_solve``): the
     exact base b is computed once, and the perturbed solve's is b plus the
     kernel integral of the perturbation, so the perturbation is sampled
-    once.  The exact solve uses the weight omega of the perturbed one, so
-    lhs and rhs_bound refer to the same norm.
+    once.  lhs reuses the weights of the perturbed solve.
     """
     cache = _cache_for(spec, cache)
     m = _check_solver_grid(spec, grid)
@@ -100,8 +100,8 @@ def perturbed_solve(
     perturbed = base.copy()
     perturbed[m + 1 :] += forced_at(spec, pert, ts[m + 1 :], cache)
     x, report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
+    y, _ = picard_solve(spec, grid, cache=cache, base=base, **options)
     omega = report["omega"]
-    y, _ = picard_solve(spec, grid, cache=cache, base=base, **{**options, "omega": omega})
-    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, cache.ctrl)
+    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, weights=report["weights"])
     rhs_bound = pert.epsilon * uh_constant(spec, spec.rhs.lipschitz, omega)
     return UhResult(x, y, lhs, rhs_bound)

@@ -21,6 +21,7 @@ from fracdelay.repsolver import (
     ProblemSpec,
     RhsSpec,
     SolutionTrace,
+    choose_omega,
     linear_solution,
     picard_solve,
     solver_grid,
@@ -74,7 +75,7 @@ def shared_cache(linear_spec):
 
 @pytest.fixture(scope="module")
 def picard_run(sin_spec, shared_cache):
-    """The nonlinear margin-2 solve, shared by the oracle, contraction and
+    """The nonlinear q = 1/2 solve, shared by the oracle, contraction and
     stability checks.  Returns (trace, report, elapsed_seconds)."""
     grid = solver_grid(sin_spec)
     start = time.perf_counter()
@@ -283,9 +284,12 @@ def test_contraction_rate_and_weight_invariance(sin_spec, shared_cache, picard_r
     trace2, rep, _ = picard_run
     start = time.perf_counter()
     assert rep["q"] == pytest.approx(0.5, rel=1e-12)
-    ratios = rep["ratios"]
+    deltas = rep["deltas"]
+    ratios = [b / a for a, b in zip(deltas, deltas[1:]) if a > 0]
+    # twice the q = 1/2 weight: q = 1/4, and the doubling is exact
+    omega4 = 2.0 * choose_omega(sin_spec, sin_spec.rhs.lipschitz)
     trace4, _ = picard_solve(
-        sin_spec, solver_grid(sin_spec), tol=PICARD_TOL, margin=4.0, cache=shared_cache
+        sin_spec, solver_grid(sin_spec), tol=PICARD_TOL, omega=omega4, cache=shared_cache
     )
     sup = float(np.max(np.abs(trace4.values - trace2.values)))
     elapsed = time.perf_counter() - start
@@ -293,7 +297,7 @@ def test_contraction_rate_and_weight_invariance(sin_spec, shared_cache, picard_r
     report(
         "iteration contraction rate and weight invariance",
         ok and elapsed < 120.0,
-        f"delta ratios max {max(ratios):.3g} (<= 0.55), margin-4 vs margin-2 "
+        f"delta ratios max {max(ratios):.3g} (<= 0.55), q = 1/4 vs q = 1/2 "
         f"sup diff {sup:.3g} (<= 1e-6), {elapsed:.1f}s",
     )
 

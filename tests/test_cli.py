@@ -221,6 +221,34 @@ def test_eval_ml_exponential(tmp_path):
         assert v == pytest.approx(math.exp(t), rel=1e-12)
 
 
+def test_eval_ml_overflow_exits_2(tmp_path, capsys):
+    # E_1(712) = e^712 exceeds the float range: a convergence failure, not inf
+    cfg = write_config(
+        tmp_path,
+        "eval.json",
+        {
+            "eval": {
+                "function": "ml",
+                "params": {"a": 1.0, "b": 1.0},
+                "t_start": 712.0,
+                "t_stop": 712.0,
+                "points": 1,
+            }
+        },
+    )
+    assert cli.main(["eval", "--config", cfg]) == 2
+    assert "sum overflow" in capsys.readouterr().err
+
+
+def test_omega_margin_key_rejected(tmp_path, capsys):
+    # the weight is chosen for q = 1/2 or given as numerics.omega
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
+    numerics = {"grid_divisor": 8, "omega_margin": 4.0}
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": numerics})
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_eval_dml_gen_power(tmp_path):
     # lambda = mu = 0 collapses the double series to t^{b-1}/Gamma(b)
     b = 1.6

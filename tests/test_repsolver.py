@@ -123,6 +123,8 @@ def test_problem_spec_horizon(spec6):
         {"lam": math.nan},
         {"mu": math.inf},
         {"phi": ShiftedPolynomial(-1.0, (0.0, math.nan))},
+        {"l": True},  # once read as one delay interval
+        {"l": 2.0},
     ],
 )
 def test_problem_spec_validation(overrides):
@@ -136,8 +138,10 @@ def test_solver_grid_shape(spec6):
     assert g.step == pytest.approx(1.0 / 128.0)
     assert g.count == 128 * 4 + 1
     assert g.t_end == pytest.approx(3.0)
-    with pytest.raises(ValidationError):
-        solver_grid(spec6, divisor=0)
+    for divisor in (0, True, 8.0):  # True once gave a one-step grid
+        with pytest.raises(ValidationError, match="divisor"):
+            solver_grid(spec6, divisor=divisor)
+    assert solver_grid(spec6, np.int64(8)) == solver_grid(spec6, 8)
 
 
 def test_solution_trace_shape_mismatch(spec6):
@@ -634,12 +638,10 @@ def test_contraction_factor_validation(spec6):
         contraction_factor(spec6, -1.0, 1.0)
 
 
-def test_choose_omega_margins(spec6):
-    for margin, L in ((2.0, 0.25), (4.0, 0.25), (1.5, 3.0)):
-        omega = choose_omega(spec6, L, margin)
-        assert contraction_factor(spec6, L, omega) == pytest.approx(1.0 / margin, rel=1e-12)
-    with pytest.raises(ValidationError):
-        choose_omega(spec6, 0.25, margin=1.0)
+def test_choose_omega_halves_q(spec6):
+    for L in (0.25, 3.0):
+        omega = choose_omega(spec6, L)
+        assert contraction_factor(spec6, L, omega) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(ValidationError):
         choose_omega(spec6, 0.0)
 
@@ -647,8 +649,7 @@ def test_choose_omega_margins(spec6):
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
     # a NaN weight once ran 10,000 series terms into a convergence error,
-    # an infinite one overflowed, and the closed forms returned NaN; a
-    # margin is checked even where no omega is chosen from it
+    # an infinite one overflowed, and the closed forms returned NaN
     spec = small_sin_spec
     linear = make_spec(l=1)
     grid = solver_grid(spec, 4)
@@ -658,12 +659,9 @@ def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
         lambda: weight_ml(x, 1.0, ts),
         lambda: weighted_norm(ts, np.ones(5), x, 1.6),
         lambda: picard_solve(spec, grid, omega=x),
-        lambda: picard_solve(spec, grid, margin=x),
-        lambda: picard_solve(spec, grid, omega=40.0, margin=x),
-        lambda: picard_solve(linear, solver_grid(linear, 4), margin=x),
+        lambda: picard_solve(linear, solver_grid(linear, 4), omega=x),
         lambda: contraction_factor(spec, 0.25, x),
         lambda: contraction_factor(spec, x, 10.0),
-        lambda: choose_omega(spec, 0.25, x),
         lambda: choose_omega(spec, x),
         lambda: uh_constant(spec, 0.25, x),
         lambda: uh_constant(spec, x, 10.0),
@@ -715,8 +713,9 @@ def test_picard_sin_spec_converges(small_sin_spec):
     assert report["q"] == pytest.approx(0.5, rel=1e-12)
     assert report["final_delta"] <= 1e-8 * (1.0 - report["q"]) / report["q"]
     assert report["deltas_sup"][-1] <= 1e-8
-    for r in report["ratios"]:
-        assert r <= report["q"] + 0.05
+    deltas = report["deltas"]
+    for before, after in zip(deltas, deltas[1:]):
+        assert after <= (report["q"] + 0.05) * before
     # fixed-point self-consistency: one more application moves the trace by
     # at most 2*tol in the weighted norm
     again = apply_F(spec, trace)
@@ -886,6 +885,21 @@ def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
     assert len(calls) == 1
     nodes = grid.nodes()
     assert np.array_equal(np.asarray(calls[0][2]), nodes[nodes >= 0.0])
+    # the report carries them for callers that take norms in the same weight
+    assert np.array_equal(report["weights"], original(*calls[0]))
+
+
+def test_picard_starts_from_the_base(small_sin_spec, monkeypatch):
+    # y_0 = b: a sin solve sweeps the forcing once per iteration, and none
+    # goes to F(0), which for shape sin is b itself
+    calls = []
+    forced = repsolver.forced_at
+    monkeypatch.setattr(
+        repsolver, "forced_at", lambda *a, **k: calls.append(1) or forced(*a, **k)
+    )
+    _, report = picard_solve(small_sin_spec, solver_grid(small_sin_spec, divisor=8))
+    assert report["iterations"] > 1
+    assert len(calls) == report["iterations"]
 
 
 # ---------------------------------------------------------------------------

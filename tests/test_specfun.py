@@ -240,6 +240,26 @@ def test_term_overflow_names_its_sum():
         delayed_ml_gen(1.0, 1.0, 1.0, 1.0, 0.0, 1e300, 3.0)
 
 
+def test_overflowing_sum_raises():
+    # every term is finite but the sum is not; these once returned +inf with
+    # only a numpy warning
+    with pytest.raises(OverflowError, match="series row k=0 sum overflow"):
+        mittag_leffler(1.0, 1.0, 712.0)
+    with pytest.raises(OverflowError, match="sum overflow"):
+        weight_ml(0.6232, 30.87, 3.2225)
+    with pytest.raises(OverflowError, match="wright_series sum overflow"):
+        wright_series(WrightSpec(((1.0, 1.0),), ((1.0, 1.0),)), 712.0)
+    # a row sized at t = 1 overflows at t = 5e-324: t^{b-1} / Gamma(b) > 1e308
+    with pytest.raises(OverflowError, match="series row k=0 sum overflow"):
+        delayed_ml_gen_many(1.0, 1.2, 0.01, 1.6, 0.0, 0.0, np.array([5e-324, 1.0]))
+    # the same term at the knot t = 0 is a signed infinity, not an overflow
+    assert delayed_ml_gen(1.0, 1.2, 0.01, 1.6, 0.0, 0.0, 0.0) == math.inf
+    assert delayed_ml_gen(1.0, 1.2, 0.01, 0.5, 0.0, -1.0, 1.0) == -math.inf
+    # a sum just inside the float range is still a number (the terms' log
+    # space costs about 709 ulp at this size)
+    assert mittag_leffler(1.0, 1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # ml_kernel / weight_ml
 # ---------------------------------------------------------------------------

@@ -79,10 +79,10 @@ def test_uh_constant_no_nonlinearity():
 
 
 def test_uh_constant_reference_value():
-    # three delay intervals, kappa = 0.25 sine nonlinearity, margin-2 weight:
+    # three delay intervals, kappa = 0.25 sine nonlinearity, q = 1/2 weight:
     # c = T^{alpha-1} exp(|lam| T^{alpha-beta} + |mu| T^alpha) / (1 - 1/2)
     spec = make_spec(l=3)
-    omega = choose_omega(spec, 0.25, margin=2.0)
+    omega = choose_omega(spec, 0.25)
     expected = 2.0 * 3.0**0.6 * math.exp(0.5 * 3.0**1.2 + 0.3 * 3.0**1.6)
     got = uh_constant(spec, 0.25, omega)
     assert got == pytest.approx(expected, rel=1e-12)
@@ -200,7 +200,7 @@ def test_sampled_perturbation_matches_direct_forcing():
     cache = KernelCache(spec)
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, tol=1e-8, cache=cache)
-    omega = choose_omega(spec, spec.rhs.lipschitz, 2.0)
+    omega = choose_omega(spec, spec.rhs.lipschitz)
     m = grid.index_of(0.0)
     forced = np.zeros(grid.count)
     forced[m + 1 :] = forced_at(spec, pert, grid.nodes()[m + 1 :], cache)
@@ -237,8 +237,8 @@ def test_perturbed_solve_rejects_mismatched_cache():
 
 
 def test_perturbed_solve_forwards_picard_options():
-    # every picard_solve option reaches both solves, and the exact solve
-    # uses the weight the perturbed one was solved in
+    # every picard_solve option reaches both solves, so both are solved in
+    # one weight
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
     cache = KernelCache(spec)
@@ -248,8 +248,30 @@ def test_perturbed_solve_forwards_picard_options():
         assert trace.meta["omega"] == 40.0
         assert trace.meta["tol"] == 1e-9
     assert result.rhs_bound == 0.01 * uh_constant(spec, spec.rhs.lipschitz, 40.0)
-    margin = perturbed_solve(spec, pert, grid, cache=cache, margin=4.0)
-    omega = choose_omega(spec, spec.rhs.lipschitz, 4.0)
-    assert margin.x.meta["omega"] == margin.y.meta["omega"] == omega
+    # twice the q = 1/2 weight (q = 1/4); the doubling is exact
+    omega = 2.0 * choose_omega(spec, spec.rhs.lipschitz)
+    quarter = perturbed_solve(spec, pert, grid, cache=cache, omega=omega)
+    assert quarter.x.meta["omega"] == quarter.y.meta["omega"] == omega
+    assert quarter.x.meta["q"] == 0.25
     with pytest.raises(IterationLimitError):
         perturbed_solve(spec, pert, grid, cache=cache, max_iter=1)
+
+
+def test_perturbed_solve_evaluates_weights_once_per_solve(monkeypatch):
+    # lhs is taken in the weights the perturbed solve already evaluated
+    spec = make_spec()
+    grid = solver_grid(spec, divisor=8)
+    pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
+    calls = []
+    weight_ml = repsolver.weight_ml
+    monkeypatch.setattr(
+        repsolver, "weight_ml", lambda *a, **k: calls.append(1) or weight_ml(*a, **k)
+    )
+    result = perturbed_solve(spec, pert, grid)
+    assert len(calls) == 2
+    monkeypatch.undo()
+    ts = grid.nodes()
+    lhs = repsolver.weighted_norm(
+        ts, result.x.values - result.y.values, result.x.meta["omega"], spec.alpha
+    )
+    assert result.lhs == lhs
