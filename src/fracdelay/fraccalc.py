@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .specfun import gamma_fn, recip_gamma
+from .specfun import _EXP_SNAP, _is_count, gamma_fn, recip_gamma
 
 __all__ = [
     "UniformGrid",
@@ -51,20 +51,11 @@ class UniformGrid:
     count: int
 
     def __post_init__(self) -> None:
-        if not self.step > 0:
-            raise ValidationError("grid step must be positive")
-        if int(self.count) != self.count or self.count < 2:
+        if not (math.isfinite(self.t_start) and 0 < self.step < math.inf):
+            raise ValidationError("grid start and step must be finite, and the step positive")
+        if not (_is_count(self.count) and self.count >= 2):
             raise ValidationError("grid count must be an integer >= 2")
         object.__setattr__(self, "count", int(self.count))
-
-    @classmethod
-    def from_range(cls, t_start: float, t_end: float, step: float) -> "UniformGrid":
-        n = _whole_steps(t_end - t_start, step)
-        if n is None or n < 1:
-            raise ValidationError(
-                f"step {step} does not tile [{t_start}, {t_end}] exactly"
-            )
-        return cls(t_start, step, n + 1)
 
     @property
     def t_end(self) -> float:
@@ -89,10 +80,6 @@ class ShiftedPolynomial:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, t):
         # Horner; works elementwise on numpy arrays too.
@@ -142,8 +129,6 @@ def gl_weights(order: float, count: int) -> np.ndarray:
     """
     if count < 1:
         raise ValidationError("gl_weights requires count >= 1")
-    if count == 1:
-        return np.ones(1)
     j = np.arange(1, count)
     return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
 
@@ -200,32 +185,19 @@ def gl_derivative(samples: np.ndarray, step: float, order: float) -> np.ndarray:
 def derive_initial_data(phi: ShiftedPolynomial, alpha: float) -> tuple[float, float]:
     """Default (c1, c2) data for polynomial history.
 
-    c1 = lim_{t -> base+} D^{alpha-1} phi and c2 = lim I^{2-alpha} phi.  For a
-    monomial (t-base)^m the D^{alpha-1} limit is 0 when m+1-alpha > 0, the
-    m-th coefficient times m! when m+1-alpha == 0, and infinite otherwise
-    (unless the gamma prefactor vanishes).  An infinite limit is a validation
-    error: supply explicit data instead.
+    c1 = lim_{t -> base+} D^{alpha-1} phi and c2 = lim I^{2-alpha} phi.  For
+    1 < alpha <= 2 the power rule gives phi'(base) and phi(base) at alpha = 2
+    (to _EXP_SNAP); below 2 both vanish, unless phi(base) != 0 makes c1
+    infinite, a validation error: supply explicit data instead.
     """
-    c1 = 0.0
-    for m, c in enumerate(phi.coeffs):
-        if c == 0.0:
-            continue
-        rc = recip_gamma(m - alpha + 2.0)
-        if rc == 0.0:
-            continue
-        expo = m + 1.0 - alpha
-        if expo < -1e-12:
-            raise ValidationError(
-                "history polynomial has an infinite D^{alpha-1} limit at the base; "
-                "set c1 explicitly"
-            )
-        if abs(expo) <= 1e-12:
-            c1 += c * gamma_fn(m + 1.0) * rc
-    c2 = 0.0
-    for m, c in enumerate(phi.coeffs):
-        if c == 0.0:
-            continue
-        expo = m + 2.0 - alpha
-        if abs(expo) <= 1e-12:  # only m=0 with alpha=2
-            c2 += c * gamma_fn(m + 1.0) * recip_gamma(m - alpha + 3.0)
-    return c1, c2
+    if not 1.0 < alpha <= 2.0:
+        raise ValidationError("alpha must lie in (1, 2]")
+    c = (*phi.coeffs, 0.0, 0.0)
+    if 2.0 - alpha <= _EXP_SNAP:
+        return c[1], c[0]
+    if c[0] != 0.0:
+        raise ValidationError(
+            "history polynomial has an infinite D^{alpha-1} limit at the base; "
+            "set c1 explicitly"
+        )
+    return 0.0, 0.0

@@ -3,10 +3,11 @@ delayed Mittag-Leffler-type functions.
 
 Everything here is a pure function of its arguments.  All infinite series
 share one truncation policy (:class:`SeriesControl`): a term is "negligible"
-when it is below ``max(abs_tol * max(1, |partial|), rel_tol * |partial|)``,
-and summation stops once ``consecutive_small`` successive terms are
-negligible.  One helper, ``_sum_terms``, applies it to every term-by-term
-sum.  Terms are evaluated in log space,
+when it is below ``max(abs_tol * max(1, |partial|), rel_tol * |partial|)``
+and no larger than the term before it; summation stops once
+``consecutive_small`` successive terms are negligible.  One helper,
+``_sum_terms``, applies it to every term-by-term sum.  Terms are evaluated
+in log space,
 
     sign * exp(n*log|lam| + k*log|mu| + e*log(t - k*h)
                + log C(n+k, k) - log Gamma(e + 1)),
@@ -14,7 +15,7 @@ sum.  Terms are evaluated in log space,
 so that binomials and gamma factors never overflow individually.  The
 delayed series and E_{a,b} (its row k = 0 at t = 1) are summed by one
 array-valued engine, ``_delayed_series``.  Double series stop over rows
-by the same rule applied to each row's largest term.
+by the threshold test applied to each row's largest term.
 """
 
 from __future__ import annotations
@@ -134,11 +135,8 @@ def gamma_fn(x: float) -> float:
     """
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x={x!r}")
-    try:
-        return math.gamma(x)
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise PoleError(f"gamma pole at x={x!r}") from exc
     # OverflowError (|Gamma| beyond float range) propagates as-is.
+    return math.gamma(x)
 
 
 def recip_gamma(x: float) -> float:
@@ -194,11 +192,12 @@ def _sum_terms(terms, ctrl: SeriesControl, partial: float = 0.0, *, where: str):
     ``terms`` yields (sign, log|term|); log|term| = -inf is a zero term (a
     denominator pole).  The sum stops after ``ctrl.consecutive_small``
     negligible terms in a row or when ``terms`` ends, and raises once more
-    than ``ctrl.max_terms`` terms would be needed.  Returns the sum and the
-    largest |term|.
+    than ``ctrl.max_terms`` terms would be needed or once a term or the sum
+    overflows.  Returns the sum and the largest |term|.
     """
     peak = 0.0
     quiet = 0
+    last = math.inf
     for count, (sign, logmag) in enumerate(terms, 1):
         if count > ctrl.max_terms:
             raise SeriesConvergenceError(f"{where} did not converge in {ctrl.max_terms} terms")
@@ -206,16 +205,19 @@ def _sum_terms(terms, ctrl: SeriesControl, partial: float = 0.0, *, where: str):
             raise OverflowError(f"{where} term overflow at term {count - 1}")
         mag = math.exp(logmag)
         partial += sign * mag
+        if not math.isfinite(partial):
+            raise OverflowError(f"{where} sum overflow")
         if mag > peak:
             peak = mag
-        if mag < ctrl.threshold(partial):
+        # a growing term is not negligible, however small next to partial:
+        # a later row of a double series starts tiny next to the earlier rows
+        if mag <= last and mag < ctrl.threshold(partial):
             quiet += 1
             if quiet >= ctrl.consecutive_small:
                 break
         else:
             quiet = 0
-    if not math.isfinite(partial):
-        raise OverflowError(f"{where} sum overflow")
+        last = mag
     return partial, peak
 
 

@@ -157,6 +157,26 @@ def test_bad_series_and_oracle_keys_rejected(tmp_path):
         assert cli.main(["compare", "--config", cfg]) == want, (numerics, oracle)
 
 
+_ML_EVAL = {"function": "ml", "params": {"a": 1.0, "b": 1.0}, "t_start": 0.0, "t_stop": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, flags, message",
+    [
+        ("solve", {"problem": ZERO_PROBLEM, "numerics": 5}, [], "numerics must be a JSON object"),
+        ("solve", {"problem": ZERO_PROBLEM, "output": {"precision": 0}}, [], "output.precision"),
+        ("solve", {"problem": ZERO_PROBLEM, "output": {"precision": 18}}, [], "output.precision"),
+        ("eval", {"problem": ZERO_PROBLEM}, [], "requires an eval section"),
+        ("eval", {"eval": dict(_ML_EVAL, points=0)}, [], "eval.points must be at least 1"),
+        ("compare", {"problem": ZERO_PROBLEM}, ["--oracle-step", "0"], "--oracle-step"),
+    ],
+)
+def test_config_checks_exit_1(tmp_path, capsys, command, cfg, flags, message):
+    path = write_config(tmp_path, "c.json", cfg)
+    assert cli.main([command, "--config", path, *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_empty_series_section_keeps_defaults(tmp_path, capsys):
     # "series": {} and no series section both mean the default control
     prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})

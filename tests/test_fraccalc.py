@@ -33,17 +33,6 @@ def test_grid_nodes_and_end():
     assert np.allclose(np.diff(nodes), 0.25)
 
 
-def test_grid_from_range():
-    g = UniformGrid.from_range(-1.0, 2.0, 0.5)
-    assert g.count == 7
-    assert g.t_end == pytest.approx(2.0)
-
-
-def test_grid_from_range_misaligned():
-    with pytest.raises(ValidationError):
-        UniformGrid.from_range(0.0, 1.0, 0.3)
-
-
 def test_grid_index_of():
     g = UniformGrid(-1.0, 0.25, 9)
     assert g.index_of(-1.0) == 0
@@ -55,10 +44,36 @@ def test_grid_index_of():
         g.index_of(0.1)
 
 
-@pytest.mark.parametrize("step,count", [(0.0, 5), (-0.1, 5), (0.1, 1), (0.1, 2.5)])
+@pytest.mark.parametrize(
+    "step,count",
+    [
+        (0.0, 5),
+        (-0.1, 5),
+        (0.1, 1),
+        (0.1, 2.5),
+        (0.1, 5.0),
+        (0.1, True),
+        (0.1, math.nan),
+        (0.1, math.inf),
+        (math.inf, 5),
+        (math.nan, 5),
+    ],
+)
 def test_grid_validation(step, count):
     with pytest.raises(ValidationError):
         UniformGrid(0.0, step, count)
+
+
+@pytest.mark.parametrize("t_start", [math.nan, math.inf, -math.inf])
+def test_grid_start_must_be_finite(t_start):
+    with pytest.raises(ValidationError):
+        UniformGrid(t_start, 0.1, 5)
+
+
+def test_grid_accepts_numpy_count():
+    g = UniformGrid(0.0, 0.5, np.int64(3))
+    assert type(g.count) is int
+    assert g.t_end == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +92,6 @@ def test_poly_eval_scalar_and_array():
 def test_poly_degree_and_zero():
     assert ShiftedPolynomial(0.0, (0.0, 0.0)).is_zero()
     assert not ShiftedPolynomial(0.0, (0.0, 1e-30)).is_zero()
-    assert ShiftedPolynomial(0.0, (1.0, 2.0, 3.0)).degree == 2
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +219,9 @@ def test_gl_weights_order_two():
 
 def test_gl_weights_start_at_one():
     for order in (0.4, 1.0, 1.6):
-        assert gl_weights(order, 1)[0] == 1.0
+        assert gl_weights(order, 1).tolist() == [1.0]
+    with pytest.raises(ValidationError, match="count >= 1"):
+        gl_weights(1.6, 0)
 
 
 def test_gl_weights_match_binomial():
@@ -304,16 +320,24 @@ def test_initial_data_square_history():
 def test_initial_data_constant_fractional_alpha():
     # a constant history has an infinite D^{alpha-1} limit when alpha < 2
     phi = ShiftedPolynomial(-1.0, (1.0,))
-    with pytest.raises(ValidationError):
-        derive_initial_data(phi, 1.6)
+    for alpha in (1.6, 1.0 + 1e-13, 2.0 - 2e-12):
+        with pytest.raises(ValidationError, match="infinite"):
+            derive_initial_data(phi, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.9, 2.0 + 1e-9, 3.0, math.nan])
+def test_initial_data_alpha_outside_domain(alpha):
+    phi = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))
+    with pytest.raises(ValidationError, match=r"alpha must lie in \(1, 2\]"):
+        derive_initial_data(phi, alpha)
 
 
 def test_initial_data_alpha_two():
-    # alpha = 2: c1 = phi'(base), c2 = phi(base)
+    # alpha = 2 (to 1e-12): c1 = phi'(base), c2 = phi(base)
     phi = ShiftedPolynomial(-1.0, (2.5, -0.75, 4.0))
-    c1, c2 = derive_initial_data(phi, 2.0)
-    assert c1 == pytest.approx(-0.75)
-    assert c2 == pytest.approx(2.5)
+    for alpha in (2.0, 2.0 - 5e-13):
+        assert derive_initial_data(phi, alpha) == (-0.75, 2.5)
+        assert derive_initial_data(ShiftedPolynomial(-1.0, (2.5,)), alpha) == (0.0, 2.5)
 
 
 def test_initial_data_matching_power():

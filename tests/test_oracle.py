@@ -237,3 +237,7 @@ def test_residual_grid_requirements():
     odd = UniformGrid(-1.0, 1.0 / 12.5, 26)
     with pytest.raises(ValidationError):
         residual_check(SolutionTrace(odd, np.zeros(26)), spec)
+    # the nodes in (0, 4 steps] are excluded, and this grid has no others
+    short = UniformGrid(-1.0, 0.25, 9)
+    with pytest.raises(ValidationError, match="no nodes more than 4 steps"):
+        residual_check(SolutionTrace(short, np.zeros(9)), spec)

@@ -88,6 +88,12 @@ def test_rhs_unknown_shape():
         RhsSpec(shape="cubic")
 
 
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_rhs_non_finite_kappa(kappa):
+    with pytest.raises(ValidationError, match="finite"):
+        RhsSpec(kappa=kappa, shape="sin")
+
+
 def test_rhs_lipschitz():
     assert RhsSpec().lipschitz == 0.0
     assert RhsSpec(kappa=0.25, shape="sin").lipschitz == 0.25
@@ -478,6 +484,14 @@ def test_forced_trivial(spec6):
     assert forced_at(spec6, lambda s: 1.0, 0.0) == 0.0
 
 
+def test_forced_at_gapped_times_match_single_times(spec6):
+    # positive times that are not consecutive grid nodes go one at a time
+    ts = np.array([0.25, 0.75, 1.0])
+    forcing = lambda s: np.cos(2.0 * s)  # noqa: E731
+    got = forced_at(spec6, forcing, ts)
+    assert got.tolist() == [forced_at(spec6, forcing, float(t)) for t in ts]
+
+
 def test_forced_power_integral():
     spec = make_spec(lam=0.0, mu=0.0)
     t = 1.4
@@ -743,6 +757,8 @@ def test_picard_base_is_the_y_independent_part(small_sin_spec):
     assert np.array_equal(given.values, alone.values)
     with pytest.raises(ValidationError, match="base"):
         picard_solve(spec, grid, cache=cache, base=base[:-1])
+    with pytest.raises(ValidationError, match="base"):
+        apply_F(spec, zero, cache, base=base[:-1])
 
 
 def test_picard_iteration_limit(small_sin_spec):

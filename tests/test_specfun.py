@@ -231,6 +231,9 @@ def test_max_terms_counts_delay_rows():
     assert row_sum(SeriesControl(max_terms=6)) == row_sum(DEFAULT_CONTROL)
     with pytest.raises(SeriesConvergenceError, match="in 5 rows"):
         row_sum(SeriesControl(max_terms=5))
+    # the same for G: at lam = 0 row k is the one term 50^k / Gamma(1.5k + 2)
+    with pytest.raises(SeriesConvergenceError, match="g_function did not converge in 5 rows"):
+        g_function(2.0, 0.5, 0.0, 50.0, 1.0, SeriesControl(max_terms=5))
 
 
 def test_term_overflow_names_its_sum():
@@ -258,6 +261,19 @@ def test_overflowing_sum_raises():
     # a sum just inside the float range is still a number (the terms' log
     # space costs about 709 ulp at this size)
     assert mittag_leffler(1.0, 1.0, 709.0) == pytest.approx(math.exp(709.0), rel=1e-10)
+
+
+def test_growing_terms_are_not_negligible():
+    # a later row whose first terms are tiny next to the earlier rows' sum,
+    # but grow: these rows were once cut after three terms, with no error
+    mu = math.exp(60.0)
+    # row 0 is e^120 and row 1 is mu e^60 (once 1.3042e52, half the sum)
+    v = delayed_ml_gen(1.0, 1.0, 1.0, 1.0, 60.0, mu, 2.0)
+    assert v == pytest.approx(math.exp(120.0) + mu * math.exp(60.0), rel=1e-10)
+    # 60-digit double sum with mp.mpf parameters (once 934480468711.14)
+    assert g_function(2.0, 0.5, 1000.0, 1.0, 1.0) == pytest.approx(
+        934482588484.60293, rel=1e-10
+    )
 
 
 # ---------------------------------------------------------------------------
