@@ -140,9 +140,7 @@ def _parse_problem(cfg: dict) -> ProblemSpec:
     phi = ShiftedPolynomial(-node["h"], node["phi"])
     c1, c2 = node["c1"], node["c2"]
     if c1 is None or c2 is None:
-        auto1, auto2 = derive_initial_data(phi, node["alpha"])
-        c1 = auto1 if c1 is None else c1
-        c2 = auto2 if c2 is None else c2
+        c1, c2 = derive_initial_data(phi, node["alpha"], c1, c2)
     return ProblemSpec(
         node["alpha"],
         node["beta"],

@@ -142,6 +142,20 @@ def _window_spectrum(w: np.ndarray, lag: int) -> np.ndarray:
     return np.fft.rfft(window, 2 * _GL_BLOCK)
 
 
+def _lag_sum(spectra: np.ndarray, w: np.ndarray, block: int, first_lag: int) -> np.ndarray:
+    """Output block ``block`` (L values) of the Toeplitz product of w with the
+    samples, summed over the lags first_lag..block only.
+
+    ``spectra[c]`` is the size-2L rfft of sample block c; lag d pairs sample
+    block ``block - d`` with the weight window of lag d, and the sum takes one
+    inverse transform.
+    """
+    acc = spectra[block - first_lag] * _window_spectrum(w, first_lag)
+    for lag in range(first_lag + 1, block + 1):
+        acc += spectra[block - lag] * _window_spectrum(w, lag)
+    return np.fft.irfft(acc, 2 * _GL_BLOCK)[_GL_BLOCK:]
+
+
 def gl_derivative(samples: np.ndarray, step: float, order: float) -> np.ndarray:
     """GL approximation of the RL derivative based at the first node.
 
@@ -172,32 +186,35 @@ def gl_derivative(samples: np.ndarray, step: float, order: float) -> np.ndarray:
         spectra[c] = np.fft.rfft(samples[c * _GL_BLOCK : (c + 1) * _GL_BLOCK], size)
     out = np.empty(n)
     for b in range(blocks):
-        acc = spectra[b] * _window_spectrum(w, 0)
-        for lag in range(1, b + 1):
-            acc += spectra[b - lag] * _window_spectrum(w, lag)
         start = b * _GL_BLOCK
         stop = min(start + _GL_BLOCK, n)
-        out[start:stop] = np.fft.irfft(acc, size)[_GL_BLOCK : _GL_BLOCK + stop - start]
+        out[start:stop] = _lag_sum(spectra, w, b, 0)[: stop - start]
     out *= step ** (-order)
     return out
 
 
-def derive_initial_data(phi: ShiftedPolynomial, alpha: float) -> tuple[float, float]:
-    """Default (c1, c2) data for polynomial history.
+def derive_initial_data(
+    phi: ShiftedPolynomial, alpha: float, c1: float | None = None, c2: float | None = None
+) -> tuple[float, float]:
+    """(c1, c2) with each entry given as None replaced by its default for
+    polynomial history.
 
     c1 = lim_{t -> base+} D^{alpha-1} phi and c2 = lim I^{2-alpha} phi.  For
     1 < alpha <= 2 the power rule gives phi'(base) and phi(base) at alpha = 2
     (to _EXP_SNAP); below 2 both vanish, unless phi(base) != 0 makes c1
-    infinite, a validation error: supply explicit data instead.
+    infinite, a validation error when c1 is to be derived: supply explicit
+    data instead.
     """
     if not 1.0 < alpha <= 2.0:
         raise ValidationError("alpha must lie in (1, 2]")
     c = (*phi.coeffs, 0.0, 0.0)
     if 2.0 - alpha <= _EXP_SNAP:
-        return c[1], c[0]
-    if c[0] != 0.0:
-        raise ValidationError(
-            "history polynomial has an infinite D^{alpha-1} limit at the base; "
-            "set c1 explicitly"
-        )
-    return 0.0, 0.0
+        auto1, auto2 = c[1], c[0]
+    else:
+        auto1, auto2 = 0.0, 0.0
+        if c1 is None and c[0] != 0.0:
+            raise ValidationError(
+                "history polynomial has an infinite D^{alpha-1} limit at the base; "
+                "set c1 explicitly"
+            )
+    return (auto1 if c1 is None else c1), (auto2 if c2 is None else c2)

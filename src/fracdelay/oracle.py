@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonError, ValidationError
-from .fraccalc import UniformGrid, _whole_steps, gl_derivative, gl_weights
-from .repsolver import ProblemSpec, SolutionTrace
+from .fraccalc import _GL_BLOCK, UniformGrid, _lag_sum, _whole_steps, gl_derivative, gl_weights
+from .repsolver import _SHAPES, ProblemSpec, SolutionTrace
 from .specfun import _is_count
 
 __all__ = ["OracleConfig", "ResidualReport", "gl_solve", "residual_check"]
@@ -71,34 +71,43 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals[self.included])))
 
 
-def _solve_step(spec, cfg, c, rhs_known, t_i, y_prev):
-    """Solve c*y - kappa*shape(y) = rhs_known for y, starting from y_prev.
+def _step_solver(spec: ProblemSpec, cfg: OracleConfig, c: float):
+    """The scalar solve of one implicit step, with the rhs shape, its
+    derivative and the singularity floor looked up once per solve.
 
-    ``rhs_known`` holds every term of the step that does not depend on y_i,
-    the rhs poly_part at t_i among them.
+    ``solve(rhs_known, t_i, y_prev)`` solves c*y - kappa*shape(y) = rhs_known
+    for y, starting from y_prev; ``rhs_known`` holds every term of the step
+    that does not depend on y_i, the rhs poly_part at t_i among them.
     """
-    f = spec.rhs
-    y = y_prev
-    for _ in range(cfg.newton_max):
-        g = c * y - f.kappa * f.shape_of(y) - rhs_known
-        slope = c - f.dfdy(y)
-        if abs(slope) <= 1e-12 * max(1.0, abs(c)):
-            raise NewtonError(
-                f"implicit step at t={t_i:.6g} has a near-singular linearization"
-            )
-        step = g / slope
-        y -= step
-        if abs(step) <= cfg.newton_tol * max(1.0, abs(y)):
-            return y
-    # Fixed-point fallback: y <- (kappa*shape(y) + rhs_known) / c.
-    if c == 0.0:
+    kappa = spec.rhs.kappa
+    shape, _, dshape, _ = _SHAPES[spec.rhs.shape]
+    tol, newton_max = cfg.newton_tol, cfg.newton_max
+    tiny = 1e-12 * max(1.0, abs(c))
+
+    def solve(rhs_known: float, t_i: float, y: float) -> float:
+        for _ in range(newton_max):
+            g = c * y - kappa * shape(y) - rhs_known
+            slope = c - kappa * dshape(y)
+            if abs(slope) <= tiny:
+                raise NewtonError(
+                    f"implicit step at t={t_i:.6g} has a near-singular linearization"
+                )
+            step = g / slope
+            y -= step
+            size = abs(y)
+            if abs(step) <= tol * (size if size > 1.0 else 1.0):
+                return y
+        # Fixed-point fallback: y <- (kappa*shape(y) + rhs_known) / c.
+        if c == 0.0:
+            raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
+        for _ in range(10 * newton_max):
+            y_new = (kappa * shape(y) + rhs_known) / c
+            if abs(y_new - y) <= tol * max(1.0, abs(y_new)):
+                return y_new
+            y = y_new
         raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
-    for _ in range(10 * cfg.newton_max):
-        y_new = (f.kappa * f.shape_of(y) + rhs_known) / c
-        if abs(y_new - y) <= cfg.newton_tol * max(1.0, abs(y_new)):
-            return y_new
-        y = y_new
-    raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
+
+    return solve
 
 
 def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
@@ -110,6 +119,16 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
             = mu * y_{i-m} + f(t_i, y_i),
 
     with both sums running back to the base (j = 0..i) and m = h/tau.
+
+    The memory sum sum_{k<i} w_{i-k} y_k is split at the blocks of L =
+    ``_GL_BLOCK`` nodes that ``gl_derivative`` uses.  The near part, over the
+    current block and the one before it, is one dot of fewer than 2L terms
+    per step.  The far part, over the blocks before those, is one FFT
+    Toeplitz product per block (Hairer, Lubich & Schlichte, SIAM J. Sci.
+    Stat. Comput. 6, 1985), so a solve of at most 2L nodes takes no
+    transform.  A solve of N nodes thus makes dots of O(N L) terms and
+    O((N/L)^2) transforms of size 2L, where one dot over the whole past per
+    step made O(N^2) terms.
     """
     tau = cfg.step
     m = cfg.delay_offset(spec.h)
@@ -117,24 +136,40 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     grid = UniformGrid(-spec.h, tau, n)
     ts = grid.nodes()
 
-    # both memory sums as one weight vector: w_0 is the implicit coefficient,
-    # and the reversed copy makes each step's sum_{k<i} w_{i-k} y_k one dot
-    # of two contiguous slices
+    # both memory sums as one weight vector; w_0 is the implicit coefficient
     ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
     w = ca * gl_weights(spec.alpha, n) - spec.lam * cb * gl_weights(spec.beta, n)
     c = float(w[0])
-    w_rev = w[::-1].copy()
+    solve = _step_solver(spec, cfg, c)
+    # w_2L .. w_1: the near sum over the r nodes before node i is a dot with
+    # the last r entries
+    lags = w[2 * _GL_BLOCK : 0 : -1].copy()
+    blocks = -(-n // _GL_BLOCK)
+    spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1), dtype=complex)
 
     y = np.empty(n)
     y[: m + 1] = spec.phi(ts[: m + 1])
     # p(t_i) of f = p(t) + kappa*shape(y) joins the known side; a zero-stride
     # view when p is constant
     p = np.broadcast_to(spec.rhs.poly_part(ts), ts.shape)
+    mu = spec.mu
     # the Newton step gets Python floats: arithmetic on numpy scalars costs
     # about three times as much per operation
-    for i in range(m + 1, n):
-        rhs_known = float(spec.mu * y[i - m] - np.dot(y[:i], w_rev[n - 1 - i : n - 1]) + p[i])
-        y[i] = _solve_step(spec, cfg, c, rhs_known, float(ts[i]), float(y[i - 1]))
+    for b in range(blocks):
+        start = b * _GL_BLOCK
+        stop = min(start + _GL_BLOCK, n)
+        near = max(start - _GL_BLOCK, 0)
+        if stop > m + 1:
+            # p less the far part: the known side but for the delay and near terms
+            known = p[start:stop]
+            if b >= 2:
+                known = known - _lag_sum(spectra, w, b, 2)[: stop - start]
+            for i in range(max(start, m + 1), stop):
+                tail = lags[lags.size - (i - near) :]
+                rhs_known = mu * y.item(i - m) - float(y[near:i].dot(tail)) + known.item(i - start)
+                y[i] = solve(rhs_known, ts.item(i), y.item(i - 1))
+        if b < blocks - 2:
+            spectra[b] = np.fft.rfft(y[start:stop], 2 * _GL_BLOCK)
     return SolutionTrace(grid, y, {"method": "gl", "step": tau})
 
 

@@ -128,7 +128,8 @@ class RhsSpec:
         return self.kappa * _SHAPES[self.shape][2](y)
 
     def shape_of(self, y):
-        # the oracle calls this once per Newton step: keep the float path lean
+        # numpy form for arrays (apply_F, residual_check), math form for
+        # floats; the oracle's Newton step reads _SHAPES once per solve instead
         entry = _SHAPES[self.shape]
         return entry[1](y) if type(y) is np.ndarray else entry[0](y)
 

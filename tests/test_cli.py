@@ -563,6 +563,22 @@ def test_solve_auto_initial_data(tmp_path, capsys):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_auto_derives_only_the_marked_entry(tmp_path, capsys):
+    # with c1 set, "c2": "auto" must not trip over the infinite c1 limit of
+    # phi(-h) != 0 at alpha < 2: the run reports the non-integrable history
+    prob = dict(SQUARE_PROBLEM, phi=[1.0, 0.0, 1.0], c1=0.0, c2="auto")
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["solve", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "non-integrable" in err
+    assert "set c1 explicitly" not in err
+    # c1 marked "auto" is still the entry that cannot be derived
+    prob = dict(prob, c1="auto", c2=0.0)
+    cfg = write_config(tmp_path, "c.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert "set c1 explicitly" in capsys.readouterr().err
+
+
 def test_null_rhs_and_series_mean_absent(tmp_path, capsys):
     # "rhs": null, "series": null and any other object given as null are
     # read as if the key were left out

@@ -325,6 +325,17 @@ def test_initial_data_constant_fractional_alpha():
             derive_initial_data(phi, alpha)
 
 
+def test_initial_data_derives_only_missing_entries():
+    # a given c1 is kept, so the infinite c1 limit of a constant history at
+    # alpha < 2 is no error when only c2 is derived
+    phi = ShiftedPolynomial(-1.0, (1.0,))
+    assert derive_initial_data(phi, 1.6, c1=0.5) == (0.5, 0.0)
+    assert derive_initial_data(phi, 2.0, c2=-1.0) == (0.0, -1.0)
+    assert derive_initial_data(phi, 1.6, 0.25, 0.75) == (0.25, 0.75)
+    with pytest.raises(ValidationError, match="infinite"):
+        derive_initial_data(phi, 1.6, c2=0.0)
+
+
 @pytest.mark.parametrize("alpha", [1.0, 0.9, 2.0 + 1e-9, 3.0, math.nan])
 def test_initial_data_alpha_outside_domain(alpha):
     phi = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracdelay.errors import NewtonError, ValidationError
-from fracdelay.fraccalc import ShiftedPolynomial, UniformGrid
+from fracdelay.fraccalc import _GL_BLOCK, ShiftedPolynomial, UniformGrid, gl_weights
 from fracdelay.oracle import OracleConfig, ResidualReport, gl_solve, residual_check
 from fracdelay.repsolver import (
     KernelCache,
@@ -144,6 +144,91 @@ def test_gl_solve_matches_frozen_values():
     assert trace.values.size == 513
     for i, value in frozen.items():
         assert trace.values[i] == pytest.approx(value, rel=0.0, abs=1e-10)
+
+
+def test_gl_solve_matches_frozen_values_across_blocks():
+    # README problem at step 2^-11: 8193 nodes in five blocks of the memory
+    # sum's split, so the steps from node 4096 on have a far part.  Values
+    # frozen from the scheme with each step's memory sum as one dot over the
+    # whole past; the split moves them by at most 1.6e-12
+    spec = make_spec(l=3, rhs=RhsSpec(kappa=0.25, shape="sin"))
+    trace = gl_solve(spec, OracleConfig(step=2.0**-11))
+    frozen = {
+        2049: 1.0009629915128389,
+        2560: 1.3463925768143148,
+        3072: 1.5792664773434706,
+        4095: 1.9005667301176141,
+        4096: 1.9008318714572274,
+        4097: 1.9010969632110841,
+        5000: 2.1265710836721166,
+        6144: 2.390930878047386,
+        6145: 2.3911552922375665,
+        7168: 2.6154414467299034,
+        8000: 2.7904932427391307,
+        8192: 2.82999485913078,
+    }
+    assert trace.values.size == 8193
+    for i, value in frozen.items():
+        assert trace.values[i] == pytest.approx(value, rel=0.0, abs=1e-10)
+
+
+def direct_gl_solve(spec, step):
+    """gl_solve's scheme with each step's memory sum as one dot over the
+    whole past, and Newton run to 1e-15."""
+    m = round(spec.h / step)
+    n = m * (spec.l + 1) + 1
+    ts = -spec.h + step * np.arange(n)
+    w = step ** -spec.alpha * gl_weights(spec.alpha, n)
+    w -= spec.lam * step ** -spec.beta * gl_weights(spec.beta, n)
+    f = spec.rhs
+    y = np.empty(n)
+    y[: m + 1] = spec.phi(ts[: m + 1])
+    for i in range(m + 1, n):
+        known = spec.mu * y[i - m] - np.dot(w[i:0:-1], y[:i]) + f.poly_part(ts[i])
+        v = float(y[i - 1])
+        for _ in range(100):
+            dv = (w[0] * v - f.kappa * f.shape_of(v) - known) / (w[0] - f.dfdy(v))
+            v -= dv
+            if abs(dv) <= 1e-15 * max(1.0, abs(v)):
+                break
+        y[i] = v
+    return y
+
+
+# (m, l): delay steps and delays; the grid has n = m (l + 1) + 1 nodes, and
+# L = _GL_BLOCK
+_BLOCK_GRIDS = {
+    "n<=L": (8, 1),
+    "L<n<=2L": (8, 300),
+    "n>3L": (8, 800),
+    "m=L,n>3L": (_GL_BLOCK, 2),
+    "m>L,2L<n<=3L": (2500, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "grid, shape, newton_max",
+    [(g, shape, 50) for g in _BLOCK_GRIDS for shape in ("zero", "sin")]
+    + [("n>3L", "sin", 1), ("m=L,n>3L", "sin", 1)],
+)
+def test_gl_solve_block_split_matches_direct_sum(grid, shape, newton_max):
+    # the near part (a dot over the current and the previous block) plus the
+    # far part (FFT over the blocks before) is the whole memory sum; n <= 2L
+    # has no far part, m = 8 keeps the delay inside one block, and
+    # newton_max = 1 finishes every step in the fallback.  Largest measured
+    # difference over these cases: 6.6e-13 of max(1, |y|), at "n>3L"
+    m, l = _BLOCK_GRIDS[grid]
+    h = 1.0 if m >= _GL_BLOCK else 1.0 / l
+    if shape == "sin":
+        rhs = RhsSpec(kappa=0.25, shape="sin")
+    else:
+        rhs = RhsSpec(ShiftedPolynomial(0.0, (1.0,)))
+    spec = make_spec(h=h, l=l, phi=ShiftedPolynomial(-h, (0.0, 1.0 / h)), rhs=rhs)
+    step = h / m
+    got = gl_solve(spec, OracleConfig(step=step, newton_max=newton_max)).values
+    want = direct_gl_solve(spec, step)
+    assert got.size == m * (l + 1) + 1
+    assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
 
 
 def test_gl_solve_nonlinear_term_active():
