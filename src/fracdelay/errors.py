@@ -47,4 +47,5 @@ class IterationLimitError(ConvergenceError):
 
 
 class NewtonError(ConvergenceError):
-    """Scalar Newton/fixed-point solve failed at an oracle time step."""
+    """The implicit oracle steps do not contract, or a block of them did not
+    converge."""

@@ -2,9 +2,9 @@
 
 Both RL derivatives are discretized over the whole trajectory back to the
 base -h, so the history enters through the memory sums and no separate
-initial-condition translation is needed.  Each step solves a scalar equation
-that is linear in y_i apart from f(t_i, y_i); Newton with a fixed-point
-fallback handles the nonlinearity.
+initial-condition translation is needed.  The implicit equations are linear
+in the unknowns apart from f(t_i, y_i), and are solved a block of nodes at a
+time by a chord iteration on their lower-triangular Toeplitz system.
 
 This module deliberately shares no series/quadrature code with the
 representation solver: agreement between the two is the main correctness
@@ -26,6 +26,8 @@ from .specfun import _is_count
 __all__ = ["OracleConfig", "ResidualReport", "gl_solve", "residual_check"]
 
 _EXCLUDE_STEPS = 4
+# nodes per implicit block of gl_solve, before halving for contraction
+_CHORD_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -71,45 +73,6 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals[self.included])))
 
 
-def _step_solver(spec: ProblemSpec, cfg: OracleConfig, c: float):
-    """The scalar solve of one implicit step, with the rhs shape, its
-    derivative and the singularity floor looked up once per solve.
-
-    ``solve(rhs_known, t_i, y_prev)`` solves c*y - kappa*shape(y) = rhs_known
-    for y, starting from y_prev; ``rhs_known`` holds every term of the step
-    that does not depend on y_i, the rhs poly_part at t_i among them.
-    """
-    kappa = spec.rhs.kappa
-    shape, _, dshape, _ = _SHAPES[spec.rhs.shape]
-    tol, newton_max = cfg.newton_tol, cfg.newton_max
-    tiny = 1e-12 * max(1.0, abs(c))
-
-    def solve(rhs_known: float, t_i: float, y: float) -> float:
-        for _ in range(newton_max):
-            g = c * y - kappa * shape(y) - rhs_known
-            slope = c - kappa * dshape(y)
-            if abs(slope) <= tiny:
-                raise NewtonError(
-                    f"implicit step at t={t_i:.6g} has a near-singular linearization"
-                )
-            step = g / slope
-            y -= step
-            size = abs(y)
-            if abs(step) <= tol * (size if size > 1.0 else 1.0):
-                return y
-        # Fixed-point fallback: y <- (kappa*shape(y) + rhs_known) / c.
-        if c == 0.0:
-            raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
-        for _ in range(10 * newton_max):
-            y_new = (kappa * shape(y) + rhs_known) / c
-            if abs(y_new - y) <= tol * max(1.0, abs(y_new)):
-                return y_new
-            y = y_new
-        raise NewtonError(f"implicit step at t={t_i:.6g} did not converge")
-
-    return solve
-
-
 def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     """March the implicit GL scheme from -h to T = l*h.
 
@@ -118,17 +81,29 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         tau^-a sum_j w_j^(a) y_{i-j} - lam tau^-b sum_j w_j^(b) y_{i-j}
             = mu * y_{i-m} + f(t_i, y_i),
 
-    with both sums running back to the base (j = 0..i) and m = h/tau.
+    with both sums running back to the base (j = 0..i) and m = h/tau.  The
+    sums and the delay form one weight vector w (mu subtracted from w_m), so
+    with f = p(t) + kappa*shape(y) a block of nodes [s, e) solves
 
-    The memory sum sum_{k<i} w_{i-k} y_k is split at the blocks of L =
-    ``_GL_BLOCK`` nodes that ``gl_derivative`` uses.  The near part, over the
-    current block and the one before it, is one dot of fewer than 2L terms
-    per step.  The far part, over the blocks before those, is one FFT
-    Toeplitz product per block (Hairer, Lubich & Schlichte, SIAM J. Sci.
-    Stat. Comput. 6, 1985), so a solve of at most 2L nodes takes no
-    transform.  A solve of N nodes thus makes dots of O(N L) terms and
-    O((N/L)^2) transforms of size 2L, where one dot over the whole past per
-    step made O(N^2) terms.
+        T y - kappa*shape(y) = p - (memory sum over the nodes before s),
+
+    T the lower-triangular Toeplitz matrix of w_0 .. w_{e-s-1}.  The memory
+    sum is split at the blocks of L = ``_GL_BLOCK`` nodes that
+    ``gl_derivative`` uses: back to the start of the previous L-block it is
+    one direct convolution per block, and before that one FFT Toeplitz
+    product per L-block (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+    Comput. 6, 1985), so a solve of at most 2L nodes takes no transform.
+
+    The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side),
+    with T and T^-1 applied as truncated convolutions with w and with its
+    reciprocal series v, starts from the line through the two nodes before
+    the block.  It stops when a round moves no value by more than
+    ``newton_tol`` * max(1, max |y|), and raises NewtonError after
+    ``newton_max`` rounds.  A round contracts by at most L_f sum_{k<B} |v_k|,
+    L_f the Lipschitz constant of f in y, and the block length B is halved
+    from ``_CHORD_BLOCK`` until that is at most 1/2.  Where even B = 1 does
+    not contract (2 L_f > |w_0|), or |w_0| <= 1e-12, NewtonError names the
+    step.
     """
     tau = cfg.step
     m = cfg.delay_offset(spec.h)
@@ -136,38 +111,62 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     grid = UniformGrid(-spec.h, tau, n)
     ts = grid.nodes()
 
-    # both memory sums as one weight vector; w_0 is the implicit coefficient
     ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
     w = ca * gl_weights(spec.alpha, n) - spec.lam * cb * gl_weights(spec.beta, n)
+    w[m] -= spec.mu
     c = float(w[0])
-    solve = _step_solver(spec, cfg, c)
-    # w_2L .. w_1: the near sum over the r nodes before node i is a dot with
-    # the last r entries
-    lags = w[2 * _GL_BLOCK : 0 : -1].copy()
+    lipschitz = spec.rhs.lipschitz
+    if abs(c) <= 1e-12 or 2.0 * lipschitz > abs(c):
+        raise NewtonError(
+            f"at oracle step {tau:.6g} the implicit coefficient {c:.6g} is near 0 or below "
+            f"2 L_f = {2.0 * lipschitz:.6g}: the steps do not contract; take a smaller step"
+        )
+    # first column of T^-1: sum_j w_j v_{k-j} = [k == 0]
+    v = np.empty(min(_CHORD_BLOCK, n))
+    v[0] = 1.0 / c
+    for k in range(1, v.size):
+        v[k] = -w[k:0:-1].dot(v[:k]) / c
+    # B: the iteration inside a block of B nodes contracts by at most 1/2
+    size = v.size
+    while lipschitz * np.abs(v[:size]).sum() > 0.5:
+        size //= 2
+
+    kappa, shape = spec.rhs.kappa, _SHAPES[spec.rhs.shape][1]
+    tol, rounds = cfg.newton_tol, cfg.newton_max
     blocks = -(-n // _GL_BLOCK)
     spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1), dtype=complex)
-
     y = np.empty(n)
     y[: m + 1] = spec.phi(ts[: m + 1])
-    # p(t_i) of f = p(t) + kappa*shape(y) joins the known side; a zero-stride
-    # view when p is constant
+    # p(t_i) of f = p(t) + kappa*shape(y); a zero-stride view when p is constant
     p = np.broadcast_to(spec.rhs.poly_part(ts), ts.shape)
-    mu = spec.mu
-    # the Newton step gets Python floats: arithmetic on numpy scalars costs
-    # about three times as much per operation
     for b in range(blocks):
         start = b * _GL_BLOCK
         stop = min(start + _GL_BLOCK, n)
         near = max(start - _GL_BLOCK, 0)
         if stop > m + 1:
-            # p less the far part: the known side but for the delay and near terms
+            # p less the far part: the known side but for the near part
             known = p[start:stop]
             if b >= 2:
                 known = known - _lag_sum(spectra, w, b, 2)[: stop - start]
-            for i in range(max(start, m + 1), stop):
-                tail = lags[lags.size - (i - near) :]
-                rhs_known = mu * y.item(i - m) - float(y[near:i].dot(tail)) + known.item(i - start)
-                y[i] = solve(rhs_known, ts.item(i), y.item(i - 1))
+        for s in range(max(start, m + 1), stop, size):
+            e = min(s + size, stop)
+            k = e - s
+            block_known = known[s - start : e - start] - np.convolve(
+                y[near:s], w[1 : e - near], "valid"
+            )
+            x = y[s - 1] + (y[s - 1] - y[s - 2]) * np.arange(1.0, k + 1)
+            for _ in range(rounds):
+                residual = np.convolve(w[:k], x)[:k] - kappa * shape(x) - block_known
+                delta = np.convolve(v[:k], residual)[:k]
+                x -= delta
+                if np.abs(delta).max() <= tol * max(1.0, np.abs(x).max()):
+                    break
+            else:
+                raise NewtonError(
+                    f"implicit block at t={ts[s]:.6g}..{ts[e - 1]:.6g} did not converge "
+                    f"in {rounds} rounds"
+                )
+            y[s:e] = x
         if b < blocks - 2:
             spectra[b] = np.fft.rfft(y[start:stop], 2 * _GL_BLOCK)
     return SolutionTrace(grid, y, {"method": "gl", "step": tau})

@@ -86,13 +86,13 @@ _ROOT_X, _ROOT_W = _graded_rule()
 # Legendre polynomials P_0..P_15 at the graded nodes, on [-1, 1]
 _ROOT_LEG = legvander(2.0 * _ROOT_X - 1.0, 15)
 
-# shape name -> (value on floats, value on arrays, derivative, sup |shape'|)
-_SHAPES: dict[str, tuple[Callable, Callable, Callable[[float], float], float]] = {
-    "zero": (lambda y: 0.0, np.zeros_like, lambda y: 0.0, 0.0),
-    "identity": (lambda y: y, lambda y: y, lambda y: 1.0, 1.0),
-    "sin": (math.sin, np.sin, math.cos, 1.0),
-    "cos": (math.cos, np.cos, lambda y: -math.sin(y), 1.0),
-    "tanh": (math.tanh, np.tanh, lambda y: 1.0 - math.tanh(y) ** 2, 1.0),
+# shape name -> (value on floats, value on arrays, sup |shape'|)
+_SHAPES: dict[str, tuple[Callable, Callable, float]] = {
+    "zero": (lambda y: 0.0, np.zeros_like, 0.0),
+    "identity": (lambda y: y, lambda y: y, 1.0),
+    "sin": (math.sin, np.sin, 1.0),
+    "cos": (math.cos, np.cos, 1.0),
+    "tanh": (math.tanh, np.tanh, 1.0),
 }
 
 
@@ -119,17 +119,14 @@ class RhsSpec:
 
     @property
     def lipschitz(self) -> float:
-        return abs(self.kappa) * _SHAPES[self.shape][3]
+        return abs(self.kappa) * _SHAPES[self.shape][2]
 
     def __call__(self, t, y):
         return self.poly_part(t) + self.kappa * self.shape_of(y)
 
-    def dfdy(self, y: float) -> float:
-        return self.kappa * _SHAPES[self.shape][2](y)
-
     def shape_of(self, y):
         # numpy form for arrays (apply_F, residual_check), math form for
-        # floats; the oracle's Newton step reads _SHAPES once per solve instead
+        # floats; gl_solve reads the numpy form from _SHAPES once per solve
         entry = _SHAPES[self.shape]
         return entry[1](y) if type(y) is np.ndarray else entry[0](y)
 

@@ -765,6 +765,19 @@ def test_compare_oracle_step_flag_overrides(tmp_path, capsys):
     assert rc == 0
 
 
+def test_compare_non_contracting_oracle_exits_2(tmp_path, capsys):
+    # kappa = 15 at the oracle step h/8: 2 L_f = 30 exceeds the implicit
+    # coefficient 29, a convergence error of the oracle
+    prob = dict(SQUARE_PROBLEM, rhs={"kappa": 15.0, "shape": "sin"})
+    cfg = write_config(
+        tmp_path,
+        "cmp.json",
+        {"problem": prob, "numerics": {"grid_divisor": 8}, "oracle": {"step": 0.125}},
+    )
+    assert cli.main(["compare", "--config", cfg]) == 2
+    assert "oracle step 0.125" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # uh
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 pointwise residual check."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fracdelay import oracle
 from fracdelay.errors import NewtonError, ValidationError
 from fracdelay.fraccalc import _GL_BLOCK, ShiftedPolynomial, UniformGrid, gl_weights
 from fracdelay.oracle import OracleConfig, ResidualReport, gl_solve, residual_check
@@ -174,20 +179,21 @@ def test_gl_solve_matches_frozen_values_across_blocks():
 
 def direct_gl_solve(spec, step):
     """gl_solve's scheme with each step's memory sum as one dot over the
-    whole past, and Newton run to 1e-15."""
+    whole past, and a scalar Newton solve per step run to 1e-15."""
     m = round(spec.h / step)
     n = m * (spec.l + 1) + 1
     ts = -spec.h + step * np.arange(n)
     w = step ** -spec.alpha * gl_weights(spec.alpha, n)
     w -= spec.lam * step ** -spec.beta * gl_weights(spec.beta, n)
     f = spec.rhs
+    dshape = {"zero": lambda v: 0.0, "sin": math.cos}[f.shape]
     y = np.empty(n)
     y[: m + 1] = spec.phi(ts[: m + 1])
     for i in range(m + 1, n):
         known = spec.mu * y[i - m] - np.dot(w[i:0:-1], y[:i]) + f.poly_part(ts[i])
         v = float(y[i - 1])
         for _ in range(100):
-            dv = (w[0] * v - f.kappa * f.shape_of(v) - known) / (w[0] - f.dfdy(v))
+            dv = (w[0] * v - f.kappa * f.shape_of(v) - known) / (w[0] - f.kappa * dshape(v))
             v -= dv
             if abs(dv) <= 1e-15 * max(1.0, abs(v)):
                 break
@@ -195,35 +201,42 @@ def direct_gl_solve(spec, step):
     return y
 
 
-# (m, l): delay steps and delays; the grid has n = m (l + 1) + 1 nodes, and
-# L = _GL_BLOCK
+# (m, l, h): steps per delay, number of delays, delay; the grid has
+# n = m (l + 1) + 1 nodes, and L = _GL_BLOCK
 _BLOCK_GRIDS = {
-    "n<=L": (8, 1),
-    "L<n<=2L": (8, 300),
-    "n>3L": (8, 800),
-    "m=L,n>3L": (_GL_BLOCK, 2),
-    "m>L,2L<n<=3L": (2500, 1),
+    "n<=L": (8, 1, 1.0),
+    "L<n<=2L": (8, 300, 1.0 / 300),
+    "n>3L": (8, 800, 1.0 / 800),
+    "m=L,n>3L": (_GL_BLOCK, 2, 1.0),
+    "m>L,2L<n<=3L": (2500, 1, 1.0),
+    "m=100,n>2L": (100, 50, 1.0 / 50),
+    "step=1/8,l=4": (8, 4, 1.0),
+}
+
+_BLOCK_RHS = {
+    "zero": RhsSpec(ShiftedPolynomial(0.0, (1.0,))),
+    "sin": RhsSpec(kappa=0.25, shape="sin"),
+    "sin,kappa=10": RhsSpec(kappa=10.0, shape="sin"),
 }
 
 
 @pytest.mark.parametrize(
     "grid, shape, newton_max",
     [(g, shape, 50) for g in _BLOCK_GRIDS for shape in ("zero", "sin")]
-    + [("n>3L", "sin", 1), ("m=L,n>3L", "sin", 1)],
+    + [("step=1/8,l=4", "sin,kappa=10", 50)],
 )
 def test_gl_solve_block_split_matches_direct_sum(grid, shape, newton_max):
-    # the near part (a dot over the current and the previous block) plus the
-    # far part (FFT over the blocks before) is the whole memory sum; n <= 2L
-    # has no far part, m = 8 keeps the delay inside one block, and
-    # newton_max = 1 finishes every step in the fallback.  Largest measured
-    # difference over these cases: 6.6e-13 of max(1, |y|), at "n>3L"
-    m, l = _BLOCK_GRIDS[grid]
-    h = 1.0 if m >= _GL_BLOCK else 1.0 / l
-    if shape == "sin":
-        rhs = RhsSpec(kappa=0.25, shape="sin")
-    else:
-        rhs = RhsSpec(ShiftedPolynomial(0.0, (1.0,)))
-    spec = make_spec(h=h, l=l, phi=ShiftedPolynomial(-h, (0.0, 1.0 / h)), rhs=rhs)
+    # the implicit blocks, the near part (a convolution back to the start of
+    # the previous L-block) and the far part (FFT over the blocks before)
+    # solve the same scheme as one dot over the whole past per step.  n <= 2L
+    # has no far part; m = 8 keeps the delay weight inside one implicit
+    # block, and m = 100 puts it inside one that it does not divide; kappa =
+    # 10 at step 1/8 (|w_0| = 29) shrinks the implicit blocks to one node,
+    # without which 32 nodes do not converge in 50 rounds.
+    # Largest measured difference over these cases: 1.9e-12 of max(1, |y|),
+    # at "m>L,2L<n<=3L"
+    m, l, h = _BLOCK_GRIDS[grid]
+    spec = make_spec(h=h, l=l, phi=ShiftedPolynomial(-h, (0.0, 1.0 / h)), rhs=_BLOCK_RHS[shape])
     step = h / m
     got = gl_solve(spec, OracleConfig(step=step, newton_max=newton_max)).values
     want = direct_gl_solve(spec, step)
@@ -240,22 +253,55 @@ def test_gl_solve_nonlinear_term_active():
     assert np.max(np.abs(with_f.values - without_f.values)) > 1e-3
 
 
-def test_gl_solve_fixed_point_fallback():
-    # one Newton step does not meet newton_tol, so the steps finish in the
-    # fixed-point fallback, which reaches the same values
+def test_gl_solve_round_cap():
+    # one round of the block iteration moves the values by more than
+    # newton_tol
     spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
-    newton = gl_solve(spec, OracleConfig(step=2.0**-5))
-    fallback = gl_solve(spec, OracleConfig(step=2.0**-5, newton_max=1))
-    assert np.max(np.abs(fallback.values - newton.values)) <= 1e-12
+    with pytest.raises(NewtonError, match="did not converge in 1 rounds"):
+        gl_solve(spec, OracleConfig(step=2.0**-5, newton_max=1))
+
+
+def test_gl_solve_no_contraction():
+    # kappa = 15 at h/8: 2 L_f = 30 exceeds the implicit coefficient |w_0| =
+    # 29, so not even a one-node block contracts
+    spec = make_spec(rhs=RhsSpec(kappa=15.0, shape="sin"))
+    with pytest.raises(NewtonError, match="oracle step 0.125"):
+        gl_solve(spec, OracleConfig(step=0.125))
 
 
 def test_gl_solve_singular_linearization():
     # lam = tau^{beta-alpha} zeroes the implicit coefficient c = tau^-alpha
-    # - lam tau^-beta, so the scalar step has no slope to divide by
+    # - lam tau^-beta, so the implicit blocks have no inverse
     tau = 0.125
     spec = make_spec(lam=tau ** (0.4 - 1.6), phi=ShiftedPolynomial(-1.0, ()))
     with pytest.raises(NewtonError):
         gl_solve(spec, OracleConfig(step=tau))
+
+
+_NO_FFT_RUN = """
+import sys
+from fracdelay.fraccalc import ShiftedPolynomial
+from fracdelay.oracle import OracleConfig, gl_solve
+from fracdelay.repsolver import ProblemSpec, RhsSpec
+spec = ProblemSpec(
+    alpha=1.6, beta=0.4, lam=-0.5, mu=0.3, h=1.0, l=3,
+    phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)), rhs=RhsSpec(kappa=0.25, shape="sin"),
+)
+assert gl_solve(spec, OracleConfig(step=2.0**-9)).values.size == 2049
+print(sorted(m for m in sys.modules if m == "numpy.fft" or m.startswith("numpy.fft.")))
+"""
+
+
+def test_gl_solve_of_at_most_2L_nodes_loads_no_fft():
+    # the first use of numpy.fft costs about 0.55 MB of RSS; a solve of at
+    # most 2L nodes (here 2049, the oracle the picard-ref benchmark workload
+    # builds) has no far part and must not pay it
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_FFT_RUN], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ---------------------------------------------------------------------------

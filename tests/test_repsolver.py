@@ -105,8 +105,6 @@ def test_rhs_evaluation():
     rhs = RhsSpec(poly_part=ShiftedPolynomial(0.0, (1.0, 2.0)), kappa=0.5, shape="sin")
     assert rhs(1.0, 0.0) == pytest.approx(3.0)
     assert rhs(0.0, math.pi / 2) == pytest.approx(1.5)
-    assert rhs.dfdy(0.0) == pytest.approx(0.5)
-    assert rhs.dfdy(math.pi) == pytest.approx(-0.5)
 
 
 def test_problem_spec_horizon(spec6):
