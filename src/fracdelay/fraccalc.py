@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 _ALIGN_TOL = 1e-9
-# block length of the FFT Toeplitz product in gl_derivative
+# block length L of _toeplitz: direct convolutions up to 2L rows, blocked
+# size-2L FFTs above
 _GL_BLOCK = 2048
 
 
@@ -56,10 +57,6 @@ class UniformGrid:
         if not (_is_count(self.count) and self.count >= 2):
             raise ValidationError("grid count must be an integer >= 2")
         object.__setattr__(self, "count", int(self.count))
-
-    @property
-    def t_end(self) -> float:
-        return self.t_start + (self.count - 1) * self.step
 
     def nodes(self) -> np.ndarray:
         return self.t_start + self.step * np.arange(self.count)
@@ -127,68 +124,74 @@ def gl_weights(order: float, count: int) -> np.ndarray:
 
     Computed by the stable recurrence w_0 = 1, w_j = w_{j-1} (1 - (order+1)/j).
     """
-    if count < 1:
-        raise ValidationError("gl_weights requires count >= 1")
+    if not (_is_count(count) and count >= 1):
+        raise ValidationError("gl_weights requires an integer count >= 1")
     j = np.arange(1, count)
     return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
 
 
 def _window_spectrum(w: np.ndarray, lag: int) -> np.ndarray:
-    """Size-2L rfft of w_{(lag-1)L} .. w_{(lag+1)L-1}, zero outside w."""
-    lo = (lag - 1) * _GL_BLOCK
-    window = w[max(lo, 0) : lo + 2 * _GL_BLOCK]
-    if lo < 0:
-        window = np.concatenate((np.zeros(-lo), window))
-    return np.fft.rfft(window, 2 * _GL_BLOCK)
+    """Size-2L rfft along axis 0 of rows (lag-1)L .. (lag+1)L-1 of w, zero outside w."""
+    lo = max(lag - 1, 0) * _GL_BLOCK
+    spectrum = np.fft.rfft(w[lo : (lag + 1) * _GL_BLOCK], 2 * _GL_BLOCK, axis=0)
+    if lag == 0:
+        # rows 0..L-1 sit L rows down: a shift by half the size negates the odd bins
+        spectrum[1::2] *= -1.0
+    return spectrum
 
 
 def _lag_sum(spectra: np.ndarray, w: np.ndarray, block: int, first_lag: int) -> np.ndarray:
-    """Output block ``block`` (L values) of the Toeplitz product of w with the
-    samples, summed over the lags first_lag..block only.
-
-    ``spectra[c]`` is the size-2L rfft of sample block c; lag d pairs sample
-    block ``block - d`` with the weight window of lag d, and the sum takes one
-    inverse transform.
+    """Output block ``block`` (L values) of ``_toeplitz``, summed over the lags
+    first_lag..block only: ``spectra[c]`` is the size-2L rfft along axis 0 of
+    sample block c, and lag d pairs block ``block - d`` with the weight window
+    of lag d.
     """
     acc = spectra[block - first_lag] * _window_spectrum(w, first_lag)
     for lag in range(first_lag + 1, block + 1):
         acc += spectra[block - lag] * _window_spectrum(w, lag)
-    return np.fft.irfft(acc, 2 * _GL_BLOCK)[_GL_BLOCK:]
+    return np.fft.irfft(acc.sum(axis=1), 2 * _GL_BLOCK)[_GL_BLOCK:]
+
+
+def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First n values of sum_q w[:, q] * x[:, q] (convolutions) for column
+    stacks of shape (n, c): a sum of lower-triangular Toeplitz products.
+
+    Up to 2L rows, L = ``_GL_BLOCK``, these are direct convolutions, with no
+    transform.  Above, each sample block of L rows gets one size-2L rfft per
+    column, and output block b sums the products of block c <= b with the
+    weight window of lag b - c and takes one inverse transform (Hairer,
+    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The windows
+    are transformed when needed: only the sample spectra are held.
+    """
+    n, cols = x.shape
+    if n <= 2 * _GL_BLOCK:
+        return sum(np.convolve(x[:, q], w[:, q])[:n] for q in range(cols))
+    blocks = -(-n // _GL_BLOCK)
+    spectra = np.empty((blocks, _GL_BLOCK + 1, cols), dtype=complex)
+    for c, start in enumerate(range(0, n, _GL_BLOCK)):
+        spectra[c] = np.fft.rfft(x[start : start + _GL_BLOCK], 2 * _GL_BLOCK, axis=0)
+    out = np.empty(n)
+    for b, start in enumerate(range(0, n, _GL_BLOCK)):
+        out[start : start + _GL_BLOCK] = _lag_sum(spectra, w, b, 0)[: n - start]
+    return out
 
 
 def gl_derivative(samples: np.ndarray, step: float, order: float) -> np.ndarray:
     """GL approximation of the RL derivative based at the first node.
 
     At node i the value is step^{-order} * sum_{j=0}^{i} w_j samples[i-j]; the
-    first node therefore gets step^{-order} * samples[0].
-
-    The sums are a lower-triangular Toeplitz product done in blocks of L =
-    ``_GL_BLOCK`` nodes (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 1985).  Each sample block gets one size-2L transform; output
-    block b sums, in frequency space, the products of sample block c <= b
-    with the weight window of lag b - c, and takes one inverse transform.
-    The windows are transformed when needed, so only the sample spectra are
-    held at once.
+    first node therefore gets step^{-order} * samples[0].  The sums are one
+    ``_toeplitz`` product of the weights with the samples, so up to 2L nodes
+    they take no transform.
     """
     if not 0.0 < order <= 2.0:
         raise ValidationError("gl_derivative requires order in (0, 2]")
-    if step <= 0:
-        raise ValidationError("gl_derivative requires step > 0")
+    if not 0.0 < step < math.inf:
+        raise ValidationError("gl_derivative requires a finite step > 0")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 1:
         raise ValidationError("gl_derivative expects a 1-D sample array")
-    n = samples.size
-    size = 2 * _GL_BLOCK
-    blocks = -(-n // _GL_BLOCK)
-    w = gl_weights(order, n)
-    spectra = np.empty((blocks, _GL_BLOCK + 1), dtype=complex)
-    for c in range(blocks):
-        spectra[c] = np.fft.rfft(samples[c * _GL_BLOCK : (c + 1) * _GL_BLOCK], size)
-    out = np.empty(n)
-    for b in range(blocks):
-        start = b * _GL_BLOCK
-        stop = min(start + _GL_BLOCK, n)
-        out[start:stop] = _lag_sum(spectra, w, b, 0)[: stop - start]
+    out = _toeplitz(gl_weights(order, samples.size)[:, None], samples[:, None])
     out *= step ** (-order)
     return out
 

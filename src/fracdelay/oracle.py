@@ -88,11 +88,11 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         T y - kappa*shape(y) = p - (memory sum over the nodes before s),
 
     T the lower-triangular Toeplitz matrix of w_0 .. w_{e-s-1}.  The memory
-    sum is split at the blocks of L = ``_GL_BLOCK`` nodes that
-    ``gl_derivative`` uses: back to the start of the previous L-block it is
-    one direct convolution per block, and before that one FFT Toeplitz
-    product per L-block (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 1985), so a solve of at most 2L nodes takes no transform.
+    sum is split at the L-blocks of ``fraccalc._toeplitz``, L = ``_GL_BLOCK``:
+    back to the start of the previous L-block it is one direct convolution
+    per block, and before that the far lags of the blocked FFT product, one
+    ``_lag_sum`` per L-block over the spectra of the L-blocks solved so far,
+    so a solve of at most 2L nodes takes no transform.
 
     The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side),
     with T and T^-1 applied as truncated convolutions with w and with its
@@ -131,10 +131,10 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     while lipschitz * np.abs(v[:size]).sum() > 0.5:
         size //= 2
 
-    kappa, shape = spec.rhs.kappa, _SHAPES[spec.rhs.shape][1]
+    kappa, shape = spec.rhs.kappa, _SHAPES[spec.rhs.shape][0]
     tol, rounds = cfg.newton_tol, cfg.newton_max
     blocks = -(-n // _GL_BLOCK)
-    spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1), dtype=complex)
+    spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1, 1), dtype=complex)
     y = np.empty(n)
     y[: m + 1] = spec.phi(ts[: m + 1])
     # p(t_i) of f = p(t) + kappa*shape(y); a zero-stride view when p is constant
@@ -147,7 +147,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
             # p less the far part: the known side but for the near part
             known = p[start:stop]
             if b >= 2:
-                known = known - _lag_sum(spectra, w, b, 2)[: stop - start]
+                known = known - _lag_sum(spectra, w[:, None], b, 2)[: stop - start]
         for s in range(max(start, m + 1), stop, size):
             e = min(s + size, stop)
             k = e - s
@@ -168,7 +168,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
                 )
             y[s:e] = x
         if b < blocks - 2:
-            spectra[b] = np.fft.rfft(y[start:stop], 2 * _GL_BLOCK)
+            spectra[b] = np.fft.rfft(y[start:stop, None], 2 * _GL_BLOCK, axis=0)
     return SolutionTrace(grid, y, {"method": "gl", "step": tau})
 
 

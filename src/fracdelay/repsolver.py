@@ -17,10 +17,10 @@ the cell at s = t, where the main kernel goes like (t - s)^{alpha-1}, graded
 geometrically into ROOT_LEVELS + 1 pieces.  On a solver grid the kernel
 offsets of a cell depend only on its lag behind the node, so the weights are
 tabulated once per step (KernelCache.table, the graded cell folded onto its
-16 nodes) and the integrals at all nodes are 16 discrete convolutions of the
-source at the cell nodes (a Toeplitz sweep).  The homogeneous term up to its
-part over [0, t], history included, is one sum of delayed ML functions, from
-I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
+16 nodes) and the integrals at all nodes are one Toeplitz product of the 16
+weight columns with the source at the cell nodes (fraccalc._toeplitz).  The
+homogeneous term up to its part over [0, t], history included, is one sum
+of delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import IterationLimitError, NonContractionError, ValidationError
-from .fraccalc import ShiftedPolynomial, UniformGrid, _whole_steps, rl_derivative_poly
+from .fraccalc import ShiftedPolynomial, UniformGrid, _toeplitz, _whole_steps, rl_derivative_poly
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -86,13 +86,13 @@ _ROOT_X, _ROOT_W = _graded_rule()
 # Legendre polynomials P_0..P_15 at the graded nodes, on [-1, 1]
 _ROOT_LEG = legvander(2.0 * _ROOT_X - 1.0, 15)
 
-# shape name -> (value on floats, value on arrays, sup |shape'|)
-_SHAPES: dict[str, tuple[Callable, Callable, float]] = {
-    "zero": (lambda y: 0.0, np.zeros_like, 0.0),
-    "identity": (lambda y: y, lambda y: y, 1.0),
-    "sin": (math.sin, np.sin, 1.0),
-    "cos": (math.cos, np.cos, 1.0),
-    "tanh": (math.tanh, np.tanh, 1.0),
+# shape name -> (numpy function, sup |shape'|)
+_SHAPES: dict[str, tuple[Callable, float]] = {
+    "zero": (np.zeros_like, 0.0),
+    "identity": (lambda y: y, 1.0),
+    "sin": (np.sin, 1.0),
+    "cos": (np.cos, 1.0),
+    "tanh": (np.tanh, 1.0),
 }
 
 
@@ -119,16 +119,13 @@ class RhsSpec:
 
     @property
     def lipschitz(self) -> float:
-        return abs(self.kappa) * _SHAPES[self.shape][2]
+        return abs(self.kappa) * _SHAPES[self.shape][1]
 
     def __call__(self, t, y):
         return self.poly_part(t) + self.kappa * self.shape_of(y)
 
     def shape_of(self, y):
-        # numpy form for arrays (apply_F, residual_check), math form for
-        # floats; gl_solve reads the numpy form from _SHAPES once per solve
-        entry = _SHAPES[self.shape]
-        return entry[1](y) if type(y) is np.ndarray else entry[0](y)
+        return _SHAPES[self.shape][0](y)
 
 
 @dataclass(frozen=True)
@@ -350,9 +347,7 @@ def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) ->
     """integral_0^t K1(t - s) source(s) ds at the consecutive nodes ts = k*step."""
     first = round(ts[0] / step)
     n = first + ts.size - 1
-    rows = cache.table(step, n)
-    f_cells = _sample(source, _cell_nodes(step, n))
-    total = sum(w * np.convolve(f_cells[:, q], rows[:, q])[:n] for q, w in enumerate(_CELL_W))
+    total = _toeplitz(cache.table(step, n) * _CELL_W, _sample(source, _cell_nodes(step, n)))
     return step * total[first - 1 :]
 
 

@@ -11,6 +11,7 @@ from fracdelay.fraccalc import (
     _GL_BLOCK,
     ShiftedPolynomial,
     UniformGrid,
+    _toeplitz,
     derive_initial_data,
     gl_derivative,
     gl_weights,
@@ -29,7 +30,7 @@ def test_grid_nodes_and_end():
     nodes = g.nodes()
     assert nodes.shape == (9,)
     assert nodes[0] == -1.0
-    assert g.t_end == pytest.approx(1.0)
+    assert nodes[-1] == pytest.approx(1.0)
     assert np.allclose(np.diff(nodes), 0.25)
 
 
@@ -73,7 +74,7 @@ def test_grid_start_must_be_finite(t_start):
 def test_grid_accepts_numpy_count():
     g = UniformGrid(0.0, 0.5, np.int64(3))
     assert type(g.count) is int
-    assert g.t_end == 1.0
+    assert g.nodes()[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +256,21 @@ def test_gl_derivative_matches_direct_convolution(n, order):
     assert np.max(np.abs(got - ref)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2 * _GL_BLOCK, 2 * _GL_BLOCK + 1, 3 * _GL_BLOCK + 5])
+@pytest.mark.parametrize("cols", [1, 16])
+def test_toeplitz_matches_direct_sums(n, cols):
+    # direct convolutions up to 2L rows, the blocked FFT product above; FFT
+    # rounding scales with sum_j |w_j| * max |x| in each column
+    rng = np.random.default_rng(n + cols)
+    w = rng.normal(size=(n, cols))
+    x = rng.normal(size=(n, cols))
+    ref = sum(np.convolve(x[:, q], w[:, q])[:n] for q in range(cols))
+    got = _toeplitz(w, x)
+    scale = np.sum(np.abs(w).sum(axis=0) * np.abs(x).max(axis=0))
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
 def test_gl_derivative_zero_samples_across_blocks():
     out = gl_derivative(np.zeros(2 * _GL_BLOCK + 3), 2.0**-13, 1.6)
     assert np.all(out == 0.0)
@@ -304,6 +320,20 @@ def test_gl_derivative_validation():
         gl_derivative(np.ones(4), -0.1, 1.0)
     with pytest.raises(ValidationError):
         gl_derivative(np.ones((4, 4)), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_gl_derivative_requires_finite_step(step):
+    # a NaN step once gave all-NaN values and an infinite one all zeros
+    with pytest.raises(ValidationError, match="finite step"):
+        gl_derivative(np.ones(4), step, 0.5)
+
+
+@pytest.mark.parametrize("count", [2.5, True])
+def test_gl_weights_requires_integer_count(count):
+    # 2.5 once gave three weights, and True was taken for 1
+    with pytest.raises(ValidationError, match="integer count"):
+        gl_weights(0.5, count)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ coarse grids) so each test runs in well under a second.
 
 import inspect
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,7 +145,7 @@ def test_solver_grid_shape(spec6):
     assert g.t_start == -1.0
     assert g.step == pytest.approx(1.0 / 128.0)
     assert g.count == 128 * 4 + 1
-    assert g.t_end == pytest.approx(3.0)
+    assert g.nodes()[-1] == pytest.approx(3.0)
     for divisor in (0, True, 8.0):  # True once gave a one-step grid
         with pytest.raises(ValidationError, match="divisor"):
             solver_grid(spec6, divisor=divisor)
@@ -879,6 +883,49 @@ def test_sweep_reads_source_only_at_cell_nodes(spec6):
 
     forced_at(spec6, forcing, pos)
     assert sum(sampled) == 16 * pos.size
+
+
+def test_sweep_above_2L_cells_matches_direct_convolutions(spec6):
+    # 3 * 1366 = 4098 cells take the blocked FFT product; the reference is
+    # one direct convolution per rule node of the cached kernel table
+    grid = solver_grid(spec6, divisor=1366)
+    ts = grid.nodes()
+    pos = ts[ts > 0.0]
+    n, step = pos.size, grid.step
+    assert n > 4096
+    cache = KernelCache(spec6)
+    got = forced_at(spec6, lambda s: np.cos(2.0 * s), pos, cache=cache)
+    rows = cache.table(step, n)
+    cells = (np.arange(1, n + 1)[:, None] - repsolver._CELL_X) * step
+    samples = np.cos(2.0 * cells)
+    want = step * sum(
+        w * np.convolve(samples[:, q], rows[:, q])[:n] for q, w in enumerate(repsolver._CELL_W)
+    )
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_NO_FFT_PICARD_RUN = """
+import sys
+from fracdelay.fraccalc import ShiftedPolynomial
+from fracdelay.repsolver import ProblemSpec, RhsSpec, picard_solve, solver_grid
+spec = ProblemSpec(
+    alpha=1.6, beta=0.4, lam=-0.5, mu=0.3, h=1.0, l=3,
+    phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)), rhs=RhsSpec(kappa=0.25, shape="sin"),
+)
+assert picard_solve(spec, solver_grid(spec, 8))[1]["iterations"] == 7
+print(sorted(m for m in sys.modules if m == "numpy.fft" or m.startswith("numpy.fft.")))
+"""
+
+
+def test_h8_picard_solve_loads_no_fft():
+    # the sweeps of the h/8 Picard solve (the picard-ref benchmark workload)
+    # have 24 cells, far below the 2L rows where the Toeplitz product turns
+    # to FFTs, so the solve must not pay numpy.fft's first-use RSS
+    env = dict(os.environ, PYTHONPATH=str(Path(repsolver.__file__).parents[1]))
+    argv = [sys.executable, "-c", _NO_FFT_PICARD_RUN]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
