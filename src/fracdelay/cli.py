@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .fraccalc import ShiftedPolynomial, _whole_steps, derive_initial_data
+from .fraccalc import ShiftedPolynomial, _delay_steps, _whole_steps, derive_initial_data
 from .oracle import OracleConfig, gl_solve
 from .repsolver import (
     KernelCache,
@@ -302,14 +302,8 @@ def _solve_closed(spec: ProblemSpec, cfg: dict):
         summary = {"method": "linear", "q": 0.0, "omega": None, "iterations": 0, "final_delta": 0.0}
         return trace, summary
     trace, report = picard_solve(spec, grid, cache=cache, **options)
-    summary = {
-        "method": "picard",
-        "q": float(report["q"]),
-        "omega": float(report["omega"]),
-        "iterations": int(report["iterations"]),
-        "final_delta": float(report["final_delta"]),
-    }
-    return trace, summary
+    keys = ("q", "omega", "iterations", "final_delta")
+    return trace, {"method": "picard", **{key: report[key] for key in keys}}
 
 
 def cmd_solve(cfg: dict, output: str | None) -> int:
@@ -337,7 +331,7 @@ def cmd_compare(cfg: dict, output: str | None, oracle_step: float | None) -> int
     stride = _whole_steps(closed.grid.step, oracle.grid.step)
     if not stride:
         raise ValidationError("oracle step must divide the solver grid step")
-    m = closed.grid.index_of(0.0)  # history rows are omitted
+    m = _delay_steps(closed.grid, spec.h)  # node m is t = 0: history rows are omitted
     yc, yo = closed.values[m:], oracle.values[::stride][m:]
     diffs = np.abs(yc - yo)
     rows = zip(closed.grid.nodes()[m:], yc, yo, diffs)
@@ -356,13 +350,11 @@ def cmd_uh(cfg: dict, output: str | None, epsilon: float, gshape: str) -> int:
     out = _parse_output(cfg)
     if not (math.isfinite(epsilon) and epsilon >= 0):
         raise ValidationError("--epsilon must be a finite nonnegative number")
-    if gshape not in _GSHAPES:
-        raise ValidationError(f"--gshape must be one of {', '.join(sorted(_GSHAPES))}")
     pert = PerturbationSpec(epsilon, _GSHAPES[gshape])
     grid = solver_grid(spec, **grid_options)
     result = perturbed_solve(spec, pert, grid, KernelCache(spec, ctrl), **options)
     # the slack allows for the tolerance each of the two traces was solved to
-    slack = 2.0 * result.x.meta["tol"]
+    slack = 2.0 * result.x_report["tol"]
     summary = {
         "lhs": float(result.lhs),
         "rhs_bound": float(result.rhs_bound),
@@ -394,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--output")
     p["compare"].add_argument("--oracle-step", type=float)
     p["uh"].add_argument("--epsilon", type=float, required=True)
-    p["uh"].add_argument("--gshape", default="one")
+    p["uh"].add_argument("--gshape", default="one", choices=sorted(_GSHAPES))
     return parser
 
 

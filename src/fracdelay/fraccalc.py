@@ -61,11 +61,16 @@ class UniformGrid:
     def nodes(self) -> np.ndarray:
         return self.t_start + self.step * np.arange(self.count)
 
-    def index_of(self, t: float) -> int:
-        i = _whole_steps(t - self.t_start, self.step)
-        if i is None or not 0 <= i < self.count:
-            raise ValidationError(f"t={t} is not a node of {self}")
-        return i
+
+def _delay_steps(grid: UniformGrid, h: float) -> int:
+    """m = h/step for a grid that starts at -h with h a whole number of
+    steps, so node m is t = 0; a validation error for any other grid."""
+    if _whole_steps(grid.t_start + h, grid.step) != 0:
+        raise ValidationError("grid must start at -h")
+    m = _whole_steps(h, grid.step)
+    if not m:
+        raise ValidationError("h must be an integer number of grid steps")
+    return m
 
 
 @dataclass(frozen=True)

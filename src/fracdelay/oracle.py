@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonError, ValidationError
-from .fraccalc import _GL_BLOCK, UniformGrid, _lag_sum, _whole_steps, gl_derivative, gl_weights
-from .repsolver import _SHAPES, ProblemSpec, SolutionTrace
+from .fraccalc import _GL_BLOCK, _delay_steps, _lag_sum, _whole_steps, gl_derivative, gl_weights
+from .repsolver import ProblemSpec, SolutionTrace, solver_grid
 from .specfun import _is_count
 
 __all__ = ["OracleConfig", "ResidualReport", "gl_solve", "residual_check"]
@@ -74,7 +74,8 @@ class ResidualReport:
 
 
 def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
-    """March the implicit GL scheme from -h to T = l*h.
+    """March the implicit GL scheme from -h to T = l*h on the closed form's
+    grid, ``solver_grid(spec, m)`` with m = ``cfg.delay_offset(spec.h)``.
 
     At each positive node t_i the scheme imposes
 
@@ -105,11 +106,9 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     not contract (2 L_f > |w_0|), or |w_0| <= 1e-12, NewtonError names the
     step.
     """
-    tau = cfg.step
     m = cfg.delay_offset(spec.h)
-    n = m * (spec.l + 1) + 1
-    grid = UniformGrid(-spec.h, tau, n)
-    ts = grid.nodes()
+    grid = solver_grid(spec, m)
+    tau, n, ts = grid.step, grid.count, grid.nodes()
 
     ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
     w = ca * gl_weights(spec.alpha, n) - spec.lam * cb * gl_weights(spec.beta, n)
@@ -131,7 +130,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     while lipschitz * np.abs(v[:size]).sum() > 0.5:
         size //= 2
 
-    kappa, shape = spec.rhs.kappa, _SHAPES[spec.rhs.shape][0]
+    kappa, shape = spec.rhs.kappa, spec.rhs.shape_of
     tol, rounds = cfg.newton_tol, cfg.newton_max
     blocks = -(-n // _GL_BLOCK)
     spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1, 1), dtype=complex)
@@ -169,7 +168,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
             y[s:e] = x
         if b < blocks - 2:
             spectra[b] = np.fft.rfft(y[start:stop, None], 2 * _GL_BLOCK, axis=0)
-    return SolutionTrace(grid, y, {"method": "gl", "step": tau})
+    return SolutionTrace(grid, y)
 
 
 def residual_check(
@@ -178,17 +177,14 @@ def residual_check(
     """Plug a trace into the GL-discretized equation and report the residuals.
 
     r_i = D^a y(t_i) - lam D^b y(t_i) - mu y(t_i - h) - f(t_i, y(t_i)) at the
-    nodes t_i > 0, with the GL difference quotients based at -h.
+    nodes t_i > 0, with the GL difference quotients based at -h.  The grid
+    must start at -h with h a whole number of steps, and may stop before T.
     """
     grid = trace.grid
     tau = grid.step
-    if _whole_steps(grid.t_start + spec.h, tau) != 0:
-        raise ValidationError("residual_check needs a grid based at -h")
+    m = _delay_steps(grid, spec.h)
     if cfg is not None and _whole_steps(cfg.step, tau) != 1:
         raise ValidationError("oracle config step does not match the trace grid")
-    m = _whole_steps(spec.h, tau)
-    if not m:
-        raise ValidationError("h must be an integer multiple of the trace step")
 
     y = trace.values
     da = gl_derivative(y, tau, spec.alpha)

@@ -26,14 +26,16 @@ of delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import IterationLimitError, NonContractionError, ValidationError
-from .fraccalc import ShiftedPolynomial, UniformGrid, _toeplitz, _whole_steps, rl_derivative_poly
+from .fraccalc import (
+    ShiftedPolynomial, UniformGrid, _delay_steps, _toeplitz, _whole_steps, rl_derivative_poly
+)
 from .specfun import (
     DEFAULT_CONTROL,
     SeriesControl,
@@ -168,11 +170,10 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class SolutionTrace:
-    """Solution samples on a uniform grid over [-h, T] plus solver metadata."""
+    """Solution samples on a uniform grid over [-h, T]; a solve's record is its report."""
 
     grid: UniformGrid
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
@@ -182,7 +183,7 @@ class SolutionTrace:
 
 
 def solver_grid(spec: ProblemSpec, divisor: int = 128) -> UniformGrid:
-    """Default uniform grid over [-h, T] with step h/divisor."""
+    """The grid over [-h, T] with step h/divisor, of the closed form and the oracle alike."""
     if not (_is_count(divisor) and divisor >= 1):
         raise ValidationError("grid divisor must be a positive integer")
     step = spec.h / int(divisor)
@@ -191,11 +192,7 @@ def solver_grid(spec: ProblemSpec, divisor: int = 128) -> UniformGrid:
 
 def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> int:
     """Validate grid alignment; return m = h/step, the index of t = 0."""
-    if _whole_steps(grid.t_start + spec.h, grid.step) != 0:
-        raise ValidationError("solver grid must start at -h")
-    m = _whole_steps(spec.h, grid.step)
-    if not m:
-        raise ValidationError("h must be an integer number of grid steps")
+    m = _delay_steps(grid, spec.h)
     if grid.count != m * (spec.l + 1) + 1:
         raise ValidationError("solver grid must end at T = l*h")
     return m
@@ -437,7 +434,7 @@ def linear_solution(
     if spec.rhs.shape != "zero":
         raise ValidationError("linear_solution requires rhs shape 'zero'")
     cache = _cache_for(spec, cache)
-    return SolutionTrace(grid, _base(spec, grid, cache), {"method": "linear"})
+    return SolutionTrace(grid, _base(spec, grid, cache))
 
 
 def apply_F(
@@ -469,7 +466,7 @@ def apply_F(
     if values.shape != (y.grid.count,):
         raise ValidationError("base must hold one value per grid node")
     values[m + 1 :] += forced_at(spec, forcing, nodes[m + 1 :], cache)
-    return SolutionTrace(y.grid, values, {"method": "apply_F"})
+    return SolutionTrace(y.grid, values)
 
 
 def weighted_norm(
@@ -535,9 +532,9 @@ def picard_solve(
     which bounds the weighted-norm distance to the fixed point by tol.  The
     sup-norm delta must also fall below tol before stopping: the weight at
     late times can exceed 1e7, so the weighted criterion alone would leave
-    visible absolute error there.  Returns the trace and a report with
-    {iterations, final_delta, q, omega, deltas, deltas_sup, weights}, the
-    last being the weights at the nodes t >= 0.
+    visible absolute error there.  Returns the last iterate and the solve's
+    one record, a report {tol, iterations, final_delta, q, omega, deltas,
+    deltas_sup, weights}, the last being the weights at the nodes t >= 0.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
@@ -570,7 +567,8 @@ def picard_solve(
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next
         if delta <= threshold and deltas_sup[-1] <= tol:
-            report = {
+            return y, {
+                "tol": tol,
                 "iterations": iteration,
                 "final_delta": delta,
                 "q": q,
@@ -579,8 +577,6 @@ def picard_solve(
                 "deltas_sup": deltas_sup,
                 "weights": weights,
             }
-            meta = {"method": "picard", "tol": tol, **report}
-            return SolutionTrace(grid, y.values, meta), report
     raise IterationLimitError(
         f"picard_solve did not converge in {max_iter} iterations (last delta {deltas[-1]:.3g})"
     )

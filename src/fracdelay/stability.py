@@ -63,6 +63,8 @@ class UhResult(NamedTuple):
     y: SolutionTrace
     lhs: float
     rhs_bound: float
+    x_report: dict
+    y_report: dict
 
 
 def uh_constant(spec: ProblemSpec, L_f: float, omega: float) -> float:
@@ -88,7 +90,9 @@ def perturbed_solve(
     series control they use, and the base of F (``picard_solve``): the
     exact base b is computed once, and the perturbed solve's is b plus the
     kernel integral of the perturbation, so the perturbation is sampled
-    once.  lhs reuses the weights of the perturbed solve.
+    once.  lhs reuses the weights of the perturbed solve.  The result
+    carries both solves' reports (``x_report``, ``y_report``), which hold
+    the ``tol``, ``omega`` and ``iterations`` each was solved with.
     """
     cache = _cache_for(spec, cache)
     m = _check_solver_grid(spec, grid)
@@ -99,9 +103,9 @@ def perturbed_solve(
     base = _base(spec, grid, cache)
     perturbed = base.copy()
     perturbed[m + 1 :] += forced_at(spec, pert, ts[m + 1 :], cache)
-    x, report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
-    y, _ = picard_solve(spec, grid, cache=cache, base=base, **options)
-    omega = report["omega"]
-    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, weights=report["weights"])
+    x, x_report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
+    y, y_report = picard_solve(spec, grid, cache=cache, base=base, **options)
+    omega = x_report["omega"]
+    lhs = weighted_norm(ts, x.values - y.values, omega, spec.alpha, weights=x_report["weights"])
     rhs_bound = pert.epsilon * uh_constant(spec, spec.rhs.lipschitz, omega)
-    return UhResult(x, y, lhs, rhs_bound)
+    return UhResult(x, y, lhs, rhs_bound, x_report, y_report)

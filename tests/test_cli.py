@@ -79,6 +79,12 @@ def test_invalid_json(tmp_path):
     assert cli.main(["solve", "--config", str(path)]) == 1
 
 
+def test_config_not_an_object(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", [1, 2])
+    assert cli.main(["solve", "--config", cfg]) == 1
+    assert "config must be a JSON object" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key(tmp_path):
     cfg = write_config(tmp_path, "c.json", {"problem": ZERO_PROBLEM, "plotting": {}})
     assert cli.main(["solve", "--config", cfg]) == 1
@@ -211,6 +217,13 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+def test_uh_help_lists_gshapes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["uh", "--help"])
+    assert exc.value.code == 0
+    assert "{cos2t,one,sin2t,zero}" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -811,10 +824,11 @@ def test_uh_summary_to_output_file(tmp_path, capsys):
     assert set(summary) == {"lhs", "rhs_bound", "pass"}
 
 
-def test_uh_bad_arguments(tmp_path):
+def test_uh_bad_arguments(tmp_path, capsys):
     cfg = write_config(tmp_path, "uh.json", {"problem": ZERO_PROBLEM})
     assert cli.main(["uh", "--config", cfg, "--epsilon", "-1"]) == 1
     assert cli.main(["uh", "--config", cfg, "--epsilon", "0.1", "--gshape", "spiky"]) == 1
+    assert "invalid choice: 'spiky'" in capsys.readouterr().err
 
 
 def test_uh_nan_epsilon_rejected(tmp_path):

@@ -11,6 +11,7 @@ from fracdelay.fraccalc import (
     _GL_BLOCK,
     ShiftedPolynomial,
     UniformGrid,
+    _delay_steps,
     _toeplitz,
     derive_initial_data,
     gl_derivative,
@@ -34,15 +35,15 @@ def test_grid_nodes_and_end():
     assert np.allclose(np.diff(nodes), 0.25)
 
 
-def test_grid_index_of():
-    g = UniformGrid(-1.0, 0.25, 9)
-    assert g.index_of(-1.0) == 0
-    assert g.index_of(0.0) == 4
-    assert g.index_of(1.0) == 8
-    with pytest.raises(ValidationError):
-        g.index_of(1.25)
-    with pytest.raises(ValidationError):
-        g.index_of(0.1)
+def test_delay_steps():
+    # m = h/step is the index of t = 0; the grid may end anywhere
+    assert _delay_steps(UniformGrid(-1.0, 0.25, 9), 1.0) == 4
+    assert _delay_steps(UniformGrid(-1.0, 0.25, 6), 1.0) == 4
+    assert _delay_steps(UniformGrid(-2.0, 1.0 / 3.0, 7), 2.0) == 6
+    with pytest.raises(ValidationError, match="start at -h"):
+        _delay_steps(UniformGrid(-0.75, 0.25, 9), 1.0)
+    with pytest.raises(ValidationError, match="integer number of grid steps"):
+        _delay_steps(UniformGrid(-1.0, 0.3, 9), 1.0)
 
 
 @pytest.mark.parametrize(

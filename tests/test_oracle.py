@@ -69,6 +69,9 @@ def test_delay_offset():
     # step must divide h
     with pytest.raises(ValidationError):
         OracleConfig(step=0.3).delay_offset(1.0)
+    # h/step overflows to inf, which is no whole number of steps
+    with pytest.raises(ValidationError, match="integer multiple"):
+        OracleConfig(step=5e-324).delay_offset(1.0)
     # and be at most h/8
     with pytest.raises(ValidationError):
         OracleConfig(step=0.25).delay_offset(1.0)
@@ -83,7 +86,6 @@ def test_gl_solve_zero_problem():
     spec = make_spec(phi=ShiftedPolynomial(-1.0, ()))
     trace = gl_solve(spec, OracleConfig(step=2.0**-5))
     assert np.all(trace.values == 0.0)
-    assert trace.meta["method"] == "gl"
 
 
 def test_gl_solve_history_exact():
@@ -95,6 +97,16 @@ def test_gl_solve_history_exact():
     assert np.allclose(trace.values[hist], spec.phi(ts[hist]), rtol=0.0, atol=1e-14)
     assert trace.grid.t_start == -1.0
     assert ts[-1] == pytest.approx(spec.T)
+
+
+def test_gl_solve_uses_the_solver_grid():
+    # a step that passes the 1e-9 alignment test but is not h/12 itself:
+    # the oracle marches on the closed form's h/12 grid, which ends at T
+    # (stepping by the config's step would end at T + 2e-10)
+    spec = make_spec(l=3)
+    trace = gl_solve(spec, OracleConfig(step=(1 / 12) * (1 + 5e-11)))
+    assert trace.grid == solver_grid(spec, 12)
+    assert trace.grid.nodes()[-1] == spec.T
 
 
 def test_gl_solve_power_solution_convergence():

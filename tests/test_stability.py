@@ -129,7 +129,7 @@ def test_perturbed_solve_checks_shape_where_the_sweep_samples():
         perturbed_solve(spec, spiky, grid)
     for g_shape in (lambda t: np.cos(2.0 * t), *cli._GSHAPES.values()):
         result = perturbed_solve(spec, PerturbationSpec(0.01, g_shape), grid)
-        assert result.lhs <= result.rhs_bound + 2.0 * result.x.meta["tol"]
+        assert result.lhs <= result.rhs_bound + 2.0 * result.x_report["tol"]
 
 
 def test_perturbed_solve_checks_shape_at_single_time_rule_nodes():
@@ -187,7 +187,7 @@ def test_perturbation_sampled_once_per_solve():
         pert = PerturbationSpec(0.01, g_shape)
         result = perturbed_solve(spec, pert, grid, tol=tol, cache=cache)
         counts.append(sum(sampled))
-        iterations.append(result.x.meta["iterations"])
+        iterations.append(result.x_report["iterations"])
     assert iterations[1] > iterations[0]
     assert counts[0] == counts[1]
 
@@ -201,7 +201,7 @@ def test_sampled_perturbation_matches_direct_forcing():
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, tol=1e-8, cache=cache)
     omega = choose_omega(spec, spec.rhs.lipschitz)
-    m = grid.index_of(0.0)
+    m = 16  # node h/step is t = 0
     forced = np.zeros(grid.count)
     forced[m + 1 :] = forced_at(spec, pert, grid.nodes()[m + 1 :], cache)
     b = _base(spec, grid, cache)
@@ -221,7 +221,7 @@ def test_perturbed_solve_builds_one_base(monkeypatch):
     )
     result = perturbed_solve(spec, PerturbationSpec(0.01, lambda t: np.cos(2.0 * t)), grid)
     assert len(calls) == 1
-    assert result.x.meta["iterations"] > 0 and result.y.meta["iterations"] > 0
+    assert result.x_report["iterations"] > 0 and result.y_report["iterations"] > 0
 
 
 def test_perturbed_solve_rejects_mismatched_cache():
@@ -244,15 +244,15 @@ def test_perturbed_solve_forwards_picard_options():
     cache = KernelCache(spec)
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
     result = perturbed_solve(spec, pert, grid, cache=cache, omega=40.0, tol=1e-9)
-    for trace in (result.x, result.y):
-        assert trace.meta["omega"] == 40.0
-        assert trace.meta["tol"] == 1e-9
+    for report in (result.x_report, result.y_report):
+        assert report["omega"] == 40.0
+        assert report["tol"] == 1e-9
     assert result.rhs_bound == 0.01 * uh_constant(spec, spec.rhs.lipschitz, 40.0)
     # twice the q = 1/2 weight (q = 1/4); the doubling is exact
     omega = 2.0 * choose_omega(spec, spec.rhs.lipschitz)
     quarter = perturbed_solve(spec, pert, grid, cache=cache, omega=omega)
-    assert quarter.x.meta["omega"] == quarter.y.meta["omega"] == omega
-    assert quarter.x.meta["q"] == 0.25
+    assert quarter.x_report["omega"] == quarter.y_report["omega"] == omega
+    assert quarter.x_report["q"] == 0.25
     with pytest.raises(IterationLimitError):
         perturbed_solve(spec, pert, grid, cache=cache, max_iter=1)
 
@@ -272,6 +272,6 @@ def test_perturbed_solve_evaluates_weights_once_per_solve(monkeypatch):
     monkeypatch.undo()
     ts = grid.nodes()
     lhs = repsolver.weighted_norm(
-        ts, result.x.values - result.y.values, result.x.meta["omega"], spec.alpha
+        ts, result.x.values - result.y.values, result.x_report["omega"], spec.alpha
     )
     assert result.lhs == lhs
