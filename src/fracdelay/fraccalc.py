@@ -131,8 +131,10 @@ def gl_weights(order: float, count: int) -> np.ndarray:
     """
     if not (_is_count(count) and count >= 1):
         raise ValidationError("gl_weights requires an integer count >= 1")
-    j = np.arange(1, count)
-    return np.concatenate(([1.0], np.cumprod(1.0 - (order + 1.0) / j)))
+    w = np.empty(count)
+    w[0] = 1.0
+    np.cumprod(1.0 - (order + 1.0) / np.arange(1.0, count), out=w[1:])
+    return w
 
 
 def _window_spectrum(w: np.ndarray, lag: int) -> np.ndarray:
@@ -145,15 +147,16 @@ def _window_spectrum(w: np.ndarray, lag: int) -> np.ndarray:
     return spectrum
 
 
-def _lag_sum(spectra: np.ndarray, w: np.ndarray, block: int, first_lag: int) -> np.ndarray:
-    """Output block ``block`` (L values) of ``_toeplitz``, summed over the lags
-    first_lag..block only: ``spectra[c]`` is the size-2L rfft along axis 0 of
-    sample block c, and lag d pairs block ``block - d`` with the weight window
-    of lag d.
+def _lag_sum(spectra: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
+    """One output block (L values) of a blocked Toeplitz product: the inverse
+    transform of sum_k spectra[k] * windows[k], summed over columns, where
+    ``spectra[k]`` is the size-2L rfft along axis 0 of a sample block and
+    ``windows[k]`` that of the weight window it pairs with (``_window_spectrum``).
+    The sum stops at the shorter of the two sequences.
     """
-    acc = spectra[block - first_lag] * _window_spectrum(w, first_lag)
-    for lag in range(first_lag + 1, block + 1):
-        acc += spectra[block - lag] * _window_spectrum(w, lag)
+    acc = spectra[0] * windows[0]
+    for spectrum, window in zip(spectra[1:], windows[1:]):
+        acc += spectrum * window
     return np.fft.irfft(acc.sum(axis=1), 2 * _GL_BLOCK)[_GL_BLOCK:]
 
 
@@ -162,11 +165,11 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     stacks of shape (n, c): a sum of lower-triangular Toeplitz products.
 
     Up to 2L rows, L = ``_GL_BLOCK``, these are direct convolutions, with no
-    transform.  Above, each sample block of L rows gets one size-2L rfft per
-    column, and output block b sums the products of block c <= b with the
-    weight window of lag b - c and takes one inverse transform (Hairer,
-    Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).  The windows
-    are transformed when needed: only the sample spectra are held.
+    transform.  Above, each sample block of L rows and each weight window of
+    lag 0 .. blocks-1 gets one size-2L rfft per column, all held for the
+    product, and output block b sums the products of block c <= b with the
+    window of lag b - c and takes one inverse transform (Hairer, Lubich &
+    Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
     """
     n, cols = x.shape
     if n <= 2 * _GL_BLOCK:
@@ -175,9 +178,10 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     spectra = np.empty((blocks, _GL_BLOCK + 1, cols), dtype=complex)
     for c, start in enumerate(range(0, n, _GL_BLOCK)):
         spectra[c] = np.fft.rfft(x[start : start + _GL_BLOCK], 2 * _GL_BLOCK, axis=0)
+    windows = [_window_spectrum(w, lag) for lag in range(blocks)]
     out = np.empty(n)
     for b, start in enumerate(range(0, n, _GL_BLOCK)):
-        out[start : start + _GL_BLOCK] = _lag_sum(spectra, w, b, 0)[: n - start]
+        out[start : start + _GL_BLOCK] = _lag_sum(spectra[b::-1], windows)[: n - start]
     return out
 
 

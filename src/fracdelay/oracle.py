@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonError, ValidationError
-from .fraccalc import _GL_BLOCK, _delay_steps, _lag_sum, _whole_steps, gl_derivative, gl_weights
+from .fraccalc import (
+    _GL_BLOCK,
+    _delay_steps,
+    _lag_sum,
+    _whole_steps,
+    _window_spectrum,
+    gl_derivative,
+    gl_weights,
+)
 from .repsolver import ProblemSpec, SolutionTrace, solver_grid
 from .specfun import _is_count
 
@@ -89,11 +97,17 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         T y - kappa*shape(y) = p - (memory sum over the nodes before s),
 
     T the lower-triangular Toeplitz matrix of w_0 .. w_{e-s-1}.  The memory
-    sum is split at the L-blocks of ``fraccalc._toeplitz``, L = ``_GL_BLOCK``:
-    back to the start of the previous L-block it is one direct convolution
-    per block, and before that the far lags of the blocked FFT product, one
-    ``_lag_sum`` per L-block over the spectra of the L-blocks solved so far,
-    so a solve of at most 2L nodes takes no transform.
+    sum is split at the L-blocks of ``fraccalc._toeplitz``, L = ``_GL_BLOCK``.
+    In L-blocks 0 and 1 it is one direct convolution per block back to the
+    base, so a solve of at most 2L nodes takes no transform.  From L-block 2
+    on, the direct part goes back to the start of the L-block only; the
+    previous L-block's last D = ``_CHORD_BLOCK`` nodes at lags <= D (a D x D
+    head) are one more convolution per L-block; and everything else is one
+    ``_lag_sum`` per L-block of the blocked FFT product, over the spectra of
+    the L-blocks solved so far and the weight windows of lags 1, 2, ...,
+    each transformed once per solve.  The lag-1 window has its rows 0..D
+    zeroed, so the large weights w_1 .. w_D never pass through a transform
+    (carried through it, they moved values at step 2^-13 by up to 8.4e-10).
 
     The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side),
     with T and T^-1 applied as truncated convolutions with w and with its
@@ -108,7 +122,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     """
     m = cfg.delay_offset(spec.h)
     grid = solver_grid(spec, m)
-    tau, n, ts = grid.step, grid.count, grid.nodes()
+    tau, n = grid.step, grid.count
 
     ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
     w = ca * gl_weights(spec.alpha, n) - spec.lam * cb * gl_weights(spec.beta, n)
@@ -132,27 +146,40 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
 
     kappa, shape = spec.rhs.kappa, spec.rhs.shape_of
     tol, rounds = cfg.newton_tol, cfg.newton_max
-    blocks = -(-n // _GL_BLOCK)
-    spectra = np.empty((max(blocks - 2, 0), _GL_BLOCK + 1, 1), dtype=complex)
     y = np.empty(n)
-    y[: m + 1] = spec.phi(ts[: m + 1])
+    y[: m + 1] = spec.phi(grid.nodes()[: m + 1])
     # p(t_i) of f = p(t) + kappa*shape(y); a zero-stride view when p is constant
-    p = np.broadcast_to(spec.rhs.poly_part(ts), ts.shape)
+    p = np.broadcast_to(spec.rhs.poly_part(grid.nodes()), (n,))
+    blocks = -(-n // _GL_BLOCK)
+    head = _CHORD_BLOCK
+    # the window spectra of lags 1 .. blocks-1, lag 1 without w_0 .. w_head;
+    # taken once the node arrays above are freed, so their peaks do not add
+    windows = []
+    if blocks > 2:
+        lag1 = w[: 2 * _GL_BLOCK, None].copy()
+        lag1[: head + 1] = 0.0
+        windows = [_window_spectrum(lag1, 1)]
+        windows += [_window_spectrum(w[:, None], lag) for lag in range(2, blocks)]
+    # spectra of the L-blocks that a later L-block reaches through windows
+    spectra = np.empty((len(windows), _GL_BLOCK + 1, 1), dtype=complex)
     for b in range(blocks):
         start = b * _GL_BLOCK
         stop = min(start + _GL_BLOCK, n)
-        near = max(start - _GL_BLOCK, 0)
+        near = start if b >= 2 else 0
         if stop > m + 1:
-            # p less the far part: the known side but for the near part
+            # p less the far part and the head: the known side but for the near part
             known = p[start:stop]
             if b >= 2:
-                known = known - _lag_sum(spectra, w[:, None], b, 2)[: stop - start]
+                known = known - _lag_sum(spectra[b - 1 :: -1], windows)[: stop - start]
+                # the previous L-block's last D nodes at lags 1..D, for nodes start..start+D-1
+                head_sum = np.convolve(y[start - head : start], w[1 : head + 1])[head - 1 :]
+                known[:head] -= head_sum[: stop - start]
         for s in range(max(start, m + 1), stop, size):
             e = min(s + size, stop)
             k = e - s
-            block_known = known[s - start : e - start] - np.convolve(
-                y[near:s], w[1 : e - near], "valid"
-            )
+            block_known = known[s - start : e - start]
+            if s > near:
+                block_known = block_known - np.convolve(y[near:s], w[1 : e - near], "valid")
             x = y[s - 1] + (y[s - 1] - y[s - 2]) * np.arange(1.0, k + 1)
             for _ in range(rounds):
                 residual = np.convolve(w[:k], x)[:k] - kappa * shape(x) - block_known
@@ -162,11 +189,12 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
                     break
             else:
                 raise NewtonError(
-                    f"implicit block at t={ts[s]:.6g}..{ts[e - 1]:.6g} did not converge "
+                    f"implicit block at t={grid.t_start + s * tau:.6g}.."
+                    f"{grid.t_start + (e - 1) * tau:.6g} did not converge "
                     f"in {rounds} rounds"
                 )
             y[s:e] = x
-        if b < blocks - 2:
+        if b < len(spectra):
             spectra[b] = np.fft.rfft(y[start:stop, None], 2 * _GL_BLOCK, axis=0)
     return SolutionTrace(grid, y)
 
@@ -189,11 +217,13 @@ def residual_check(
     y = trace.values
     da = gl_derivative(y, tau, spec.alpha)
     db = gl_derivative(y, tau, spec.beta)
-    # node m is t = 0
-    pos = np.arange(m + 1, grid.count)
-    t_pos = grid.nodes()[pos]
-    residuals = da[pos] - spec.lam * db[pos] - spec.mu * y[pos - m] - spec.rhs(t_pos, y[pos])
-    included = pos > m + _EXCLUDE_STEPS
+    # node m is t = 0; the residuals are at nodes m+1 .. count-1
+    t_pos = grid.nodes()[m + 1 :]
+    residuals = (
+        da[m + 1 :] - spec.lam * db[m + 1 :] - spec.mu * y[1 : grid.count - m]
+        - spec.rhs(t_pos, y[m + 1 :])
+    )
+    included = np.arange(t_pos.size) >= _EXCLUDE_STEPS
     if not included.any():
         raise ValidationError(f"trace has no nodes more than {_EXCLUDE_STEPS} steps after t = 0")
     return ResidualReport(t_pos, residuals, included, tau)

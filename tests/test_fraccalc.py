@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fracdelay import fraccalc
 from fracdelay.errors import ValidationError
 from fracdelay.fraccalc import (
     _GL_BLOCK,
@@ -270,6 +271,21 @@ def test_toeplitz_matches_direct_sums(n, cols):
     scale = np.sum(np.abs(w).sum(axis=0) * np.abs(x).max(axis=0))
     assert got.shape == (n,)
     assert np.max(np.abs(got - ref)) <= 1e-14 * scale
+
+
+def test_toeplitz_transforms_each_weight_window_once(monkeypatch):
+    # 3L + 5 rows are four L-blocks: one window spectrum per lag 0..3, held
+    # for every output block that pairs with it, not one per pairing
+    calls = []
+
+    def counting(w, lag):
+        calls.append(lag)
+        return window_spectrum(w, lag)
+
+    window_spectrum = fraccalc._window_spectrum
+    monkeypatch.setattr(fraccalc, "_window_spectrum", counting)
+    gl_derivative(np.ones(3 * _GL_BLOCK + 5), 0.01, 1.6)
+    assert sorted(calls) == [0, 1, 2, 3]
 
 
 def test_gl_derivative_zero_samples_across_blocks():

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracdelay import oracle
+from fracdelay import fraccalc, oracle
 from fracdelay.errors import NewtonError, ValidationError
 from fracdelay.fraccalc import _GL_BLOCK, ShiftedPolynomial, UniformGrid, gl_weights
 from fracdelay.oracle import OracleConfig, ResidualReport, gl_solve, residual_check
@@ -219,6 +219,8 @@ _BLOCK_GRIDS = {
     "n<=L": (8, 1, 1.0),
     "L<n<=2L": (8, 300, 1.0 / 300),
     "n>3L": (8, 800, 1.0 / 800),
+    "m=D,n>3L": (128, 48, 1.0 / 48),
+    "m=D+1,n>3L": (129, 47, 1.0 / 47),
     "m=L,n>3L": (_GL_BLOCK, 2, 1.0),
     "m>L,2L<n<=3L": (2500, 1, 1.0),
     "m=100,n>2L": (100, 50, 1.0 / 50),
@@ -238,14 +240,19 @@ _BLOCK_RHS = {
     + [("step=1/8,l=4", "sin,kappa=10", 50)],
 )
 def test_gl_solve_block_split_matches_direct_sum(grid, shape, newton_max):
-    # the implicit blocks, the near part (a convolution back to the start of
-    # the previous L-block) and the far part (FFT over the blocks before)
-    # solve the same scheme as one dot over the whole past per step.  n <= 2L
-    # has no far part; m = 8 keeps the delay weight inside one implicit
-    # block, and m = 100 puts it inside one that it does not divide; kappa =
-    # 10 at step 1/8 (|w_0| = 29) shrinks the implicit blocks to one node,
-    # without which 32 nodes do not converge in 50 rounds.
-    # Largest measured difference over these cases: 1.9e-12 of max(1, |y|),
+    # the implicit blocks, the near part, the head and the far part solve the
+    # same scheme as one dot over the whole past per step.  The near part is
+    # a convolution back to the base in L-blocks 0 and 1 and back to the
+    # start of the L-block from L-block 2 on; there the head takes the
+    # previous L-block's last D = 128 nodes at lags <= D, and the far part
+    # (FFT over the blocks before, lag 1 without its weights w_0 .. w_D)
+    # the rest.  n <= 2L has no far part; m = 8 keeps the delay weight inside
+    # one implicit block, and m = 100 puts it inside one that it does not
+    # divide; m = D folds it into the head's last row and m = D + 1 into the
+    # first nonzero row of the lag-1 window; kappa = 10 at step 1/8 (|w_0| =
+    # 29) shrinks the implicit blocks to one node, without which 32 nodes do
+    # not converge in 50 rounds.
+    # Largest measured difference over these cases: 2.0e-12 of max(1, |y|),
     # at "m>L,2L<n<=3L"
     m, l, h = _BLOCK_GRIDS[grid]
     spec = make_spec(h=h, l=l, phi=ShiftedPolynomial(-h, (0.0, 1.0 / h)), rhs=_BLOCK_RHS[shape])
@@ -254,6 +261,24 @@ def test_gl_solve_block_split_matches_direct_sum(grid, shape, newton_max):
     want = direct_gl_solve(spec, step)
     assert got.size == m * (l + 1) + 1
     assert np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))) <= 1e-11
+
+
+def test_gl_solve_transforms_each_far_window_once(monkeypatch):
+    # 8193 nodes are five L-blocks: L-blocks 2..4 reach back through the
+    # weight windows of lags 1..4, each transformed once per solve, not once
+    # per L-block that uses it
+    calls = []
+
+    def counting(w, lag):
+        calls.append(lag)
+        return window_spectrum(w, lag)
+
+    window_spectrum = fraccalc._window_spectrum
+    monkeypatch.setattr(fraccalc, "_window_spectrum", counting)
+    monkeypatch.setattr(oracle, "_window_spectrum", counting)
+    spec = make_spec(l=3, rhs=RhsSpec(kappa=0.25, shape="sin"))
+    assert gl_solve(spec, OracleConfig(step=2.0**-11)).values.size == 8193
+    assert sorted(calls) == [1, 2, 3, 4]
 
 
 def test_gl_solve_nonlinear_term_active():
@@ -291,6 +316,7 @@ def test_gl_solve_singular_linearization():
 
 
 _NO_FFT_RUN = """
+import dataclasses
 import sys
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.oracle import OracleConfig, gl_solve, residual_check
@@ -303,6 +329,11 @@ cfg = OracleConfig(step=2.0**-9)
 trace = gl_solve(spec, cfg)
 assert trace.values.size == 2049
 assert residual_check(trace, spec, cfg).max_abs <= 1e-6
+spec = dataclasses.replace(spec, l=2)
+cfg = OracleConfig(step=1.0 / 1365)
+trace = gl_solve(spec, cfg)
+assert trace.values.size == 4096
+assert residual_check(trace, spec, cfg).max_abs <= 1e-6
 print(sorted(m for m in sys.modules if m == "numpy.fft" or m.startswith("numpy.fft.")))
 """
 
@@ -310,8 +341,9 @@ print(sorted(m for m in sys.modules if m == "numpy.fft" or m.startswith("numpy.f
 def test_gl_solve_of_at_most_2L_nodes_loads_no_fft():
     # the first use of numpy.fft costs about 0.55 MB of RSS; a solve of at
     # most 2L nodes (here 2049, the oracle the picard-ref benchmark workload
-    # builds) has no far part, and the GL derivatives of its residual check
-    # are direct convolutions, so neither may pay it
+    # builds, and 4096 = 2L, the largest) has no far part, and the GL
+    # derivatives of its residual check are direct convolutions, so neither
+    # may pay it
     env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
     proc = subprocess.run(
         [sys.executable, "-c", _NO_FFT_RUN], capture_output=True, text=True, env=env, timeout=60
