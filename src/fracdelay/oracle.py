@@ -81,6 +81,39 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals[self.included])))
 
 
+def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column ``col``."""
+    b = col.size
+    padded = np.zeros(2 * b - 1)
+    padded[b - 1 :] = col
+    # row i is padded[i : i + b] reversed
+    return np.lib.stride_tricks.sliding_window_view(padded, b)[:, ::-1].copy()
+
+
+def _lower_product(col: np.ndarray, mat: np.ndarray | None, x: np.ndarray) -> np.ndarray:
+    """First x.size values of the convolution col * x: through ``mat``, the
+    held ``_lower_toeplitz(col[:B])`` with B >= x.size, when there is one."""
+    k = x.size
+    if mat is None:
+        return np.convolve(col[:k], x)[:k]
+    return mat[:k, :k] @ x
+
+
+def _cubic_start(size: int) -> np.ndarray:
+    """(size, 4) weights of y_{s-4} .. y_{s-1} in the cubic through them,
+    evaluated at nodes s .. s+size-1."""
+    j = np.arange(1.0, size + 1)
+    return np.stack(
+        (
+            -j * (j + 1) * (j + 2) / 6,
+            j * (j + 1) * (j + 3) / 2,
+            -j * (j + 2) * (j + 3) / 2,
+            (j + 1) * (j + 2) * (j + 3) / 6,
+        ),
+        axis=1,
+    )
+
+
 def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     """March the implicit GL scheme from -h to T = l*h on the closed form's
     grid, ``solver_grid(spec, m)`` with m = ``cfg.delay_offset(spec.h)``.
@@ -109,16 +142,19 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     zeroed, so the large weights w_1 .. w_D never pass through a transform
     (carried through it, they moved values at step 2^-13 by up to 8.4e-10).
 
-    The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side),
-    with T and T^-1 applied as truncated convolutions with w and with its
-    reciprocal series v, starts from the line through the two nodes before
-    the block.  It stops when a round moves no value by more than
+    The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side)
+    starts from the cubic through the four nodes before the block.  T and
+    T^-1, the latter from the reciprocal series v of w, are held as B x B
+    lower-triangular matrices when the solve has a far part (more than 2L
+    nodes), and are truncated convolutions with w and v below, where the
+    matrices would outweigh the rest of the solve.  A round contracts by at
+    most rho = L_f sum_{k<B} |v_k|, L_f the Lipschitz constant of f in y,
+    and the block length B is halved from ``_CHORD_BLOCK`` until rho <= 1/2.
+    The iteration stops when rho/(1 - rho) times a round's largest move,
+    which bounds the distance to the block's solution, is at most
     ``newton_tol`` * max(1, max |y|), and raises NewtonError after
-    ``newton_max`` rounds.  A round contracts by at most L_f sum_{k<B} |v_k|,
-    L_f the Lipschitz constant of f in y, and the block length B is halved
-    from ``_CHORD_BLOCK`` until that is at most 1/2.  Where even B = 1 does
-    not contract (2 L_f > |w_0|), or |w_0| <= 1e-12, NewtonError names the
-    step.
+    ``newton_max`` rounds.  Where even B = 1 does not contract (2 L_f >
+    |w_0|), or |w_0| <= 1e-12, NewtonError names the step.
     """
     m = cfg.delay_offset(spec.h)
     grid = solver_grid(spec, m)
@@ -141,8 +177,10 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         v[k] = -w[k:0:-1].dot(v[:k]) / c
     # B: the iteration inside a block of B nodes contracts by at most 1/2
     size = v.size
-    while lipschitz * np.abs(v[:size]).sum() > 0.5:
+    while (rho := lipschitz * np.abs(v[:size]).sum()) > 0.5:
         size //= 2
+    # a round's largest move times this bounds the distance to the block's solution
+    gap = rho / (1.0 - rho)
 
     kappa, shape = spec.rhs.kappa, spec.rhs.shape_of
     tol, rounds = cfg.newton_tol, cfg.newton_max
@@ -154,12 +192,20 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     head = _CHORD_BLOCK
     # the window spectra of lags 1 .. blocks-1, lag 1 without w_0 .. w_head;
     # taken once the node arrays above are freed, so their peaks do not add
-    windows = []
+    windows, t_mat, t_inv = [], None, None
     if blocks > 2:
         lag1 = w[: 2 * _GL_BLOCK, None].copy()
         lag1[: head + 1] = 0.0
         windows = [_window_spectrum(lag1, 1)]
         windows += [_window_spectrum(w[:, None], lag) for lag in range(2, blocks)]
+        # past the windows, the near part and the head read lags below 2L only
+        w = w[: 2 * _GL_BLOCK].copy()
+        # T and T^-1 of a B-node block held as matrices, whose product costs
+        # about half a truncated convolution; a solve of at most 2L nodes,
+        # whose whole peak is below their 2 B^2 floats (82 KB at 2049 nodes
+        # against 256 KB), keeps the convolutions
+        t_mat, t_inv = _lower_toeplitz(w[:size]), _lower_toeplitz(v[:size])
+    extrapolate = _cubic_start(size)
     # spectra of the L-blocks that a later L-block reaches through windows
     spectra = np.empty((len(windows), _GL_BLOCK + 1, 1), dtype=complex)
     for b in range(blocks):
@@ -180,12 +226,12 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
             block_known = known[s - start : e - start]
             if s > near:
                 block_known = block_known - np.convolve(y[near:s], w[1 : e - near], "valid")
-            x = y[s - 1] + (y[s - 1] - y[s - 2]) * np.arange(1.0, k + 1)
+            x = extrapolate[:k] @ y[s - 4 : s]
             for _ in range(rounds):
-                residual = np.convolve(w[:k], x)[:k] - kappa * shape(x) - block_known
-                delta = np.convolve(v[:k], residual)[:k]
+                residual = _lower_product(w, t_mat, x) - kappa * shape(x) - block_known
+                delta = _lower_product(v, t_inv, residual)
                 x -= delta
-                if np.abs(delta).max() <= tol * max(1.0, np.abs(x).max()):
+                if gap * np.abs(delta).max() <= tol * max(1.0, np.abs(x).max()):
                     break
             else:
                 raise NewtonError(
@@ -215,14 +261,12 @@ def residual_check(
         raise ValidationError("oracle config step does not match the trace grid")
 
     y = trace.values
-    da = gl_derivative(y, tau, spec.alpha)
-    db = gl_derivative(y, tau, spec.beta)
-    # node m is t = 0; the residuals are at nodes m+1 .. count-1
+    # node m is t = 0; the residuals are at nodes m+1 .. count-1.  The alpha
+    # derivative is freed before the beta one is taken
+    residuals = gl_derivative(y, tau, spec.alpha)[m + 1 :] - spec.mu * y[1 : grid.count - m]
+    residuals -= spec.lam * gl_derivative(y, tau, spec.beta)[m + 1 :]
     t_pos = grid.nodes()[m + 1 :]
-    residuals = (
-        da[m + 1 :] - spec.lam * db[m + 1 :] - spec.mu * y[1 : grid.count - m]
-        - spec.rhs(t_pos, y[m + 1 :])
-    )
+    residuals -= spec.rhs(t_pos, y[m + 1 :])
     included = np.arange(t_pos.size) >= _EXCLUDE_STEPS
     if not included.any():
         raise ValidationError(f"trace has no nodes more than {_EXCLUDE_STEPS} steps after t = 0")
