@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 _ALIGN_TOL = 1e-9
-# block length L of _toeplitz's blocked size-2L FFTs
+# block length L of _toeplitz: direct convolutions up to 2L rows, blocked
+# size-2L FFTs above
 _GL_BLOCK = 2048
 
 
@@ -163,27 +164,21 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """First n values of sum_q w[:, q] * x[:, q] (convolutions) for column
     stacks of shape (n, c): a sum of lower-triangular Toeplitz products.
 
-    Small products are direct convolutions, with no transform: one column up
-    to 2L rows, L = ``_GL_BLOCK``, so oracle solves of up to 2L nodes and
-    their residual checks load no ``numpy.fft``, and several columns up to
-    L/2 rows, near where the two ways cost the same per column (measured for
-    2 to 16 columns between 768 and 1024 rows).  Above, each sample block of
-    L rows and each weight window of lag 0 .. blocks-1 gets one size-2L rfft
-    per column, all held for the product, and output block b sums the
-    products of block c <= b with the window of lag b - c and takes one
-    inverse transform (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 1985).  The weights are released once their windows are
-    taken.
+    Up to 2L rows, L = ``_GL_BLOCK``, these are direct convolutions, with no
+    transform.  Above, each sample block of L rows and each weight window of
+    lag 0 .. blocks-1 gets one size-2L rfft per column, all held for the
+    product, and output block b sums the products of block c <= b with the
+    window of lag b - c and takes one inverse transform (Hairer, Lubich &
+    Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
     """
     n, cols = x.shape
-    if n <= (2 * _GL_BLOCK if cols == 1 else _GL_BLOCK // 2):
+    if n <= 2 * _GL_BLOCK:
         return sum(np.convolve(x[:, q], w[:, q])[:n] for q in range(cols))
     blocks = -(-n // _GL_BLOCK)
-    windows = [_window_spectrum(w, lag) for lag in range(blocks)]
-    del w
     spectra = np.empty((blocks, _GL_BLOCK + 1, cols), dtype=complex)
     for c, start in enumerate(range(0, n, _GL_BLOCK)):
         spectra[c] = np.fft.rfft(x[start : start + _GL_BLOCK], 2 * _GL_BLOCK, axis=0)
+    windows = [_window_spectrum(w, lag) for lag in range(blocks)]
     out = np.empty(n)
     for b, start in enumerate(range(0, n, _GL_BLOCK)):
         out[start : start + _GL_BLOCK] = _lag_sum(spectra[b::-1], windows)[: n - start]

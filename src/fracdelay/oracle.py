@@ -81,24 +81,6 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals[self.included])))
 
 
-def _lower_toeplitz(col: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column ``col``."""
-    b = col.size
-    padded = np.zeros(2 * b - 1)
-    padded[b - 1 :] = col
-    # row i is padded[i : i + b] reversed
-    return np.lib.stride_tricks.sliding_window_view(padded, b)[:, ::-1].copy()
-
-
-def _lower_product(col: np.ndarray, mat: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    """First x.size values of the convolution col * x: through ``mat``, the
-    held ``_lower_toeplitz(col[:B])`` with B >= x.size, when there is one."""
-    k = x.size
-    if mat is None:
-        return np.convolve(col[:k], x)[:k]
-    return mat[:k, :k] @ x
-
-
 def _cubic_start(size: int) -> np.ndarray:
     """(size, 4) weights of y_{s-4} .. y_{s-1} in the cubic through them,
     evaluated at nodes s .. s+size-1."""
@@ -143,18 +125,16 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     (carried through it, they moved values at step 2^-13 by up to 8.4e-10).
 
     The chord iteration y <- y - T^-1 (T y - kappa*shape(y) - known side)
-    starts from the cubic through the four nodes before the block.  T and
-    T^-1, the latter from the reciprocal series v of w, are held as B x B
-    lower-triangular matrices when the solve has a far part (more than 2L
-    nodes), and are truncated convolutions with w and v below, where the
-    matrices would outweigh the rest of the solve.  A round contracts by at
-    most rho = L_f sum_{k<B} |v_k|, L_f the Lipschitz constant of f in y,
-    and the block length B is halved from ``_CHORD_BLOCK`` until rho <= 1/2.
-    The iteration stops when rho/(1 - rho) times a round's largest move,
-    which bounds the distance to the block's solution, is at most
-    ``newton_tol`` * max(1, max |y|), and raises NewtonError after
-    ``newton_max`` rounds.  Where even B = 1 does not contract (2 L_f >
-    |w_0|), or |w_0| <= 1e-12, NewtonError names the step.
+    applies T and T^-1 as truncated convolutions with w and with its
+    reciprocal series v, and starts from the cubic through the four nodes
+    before the block.  A round contracts by at most rho = L_f sum_{k<B} |v_k|,
+    L_f the Lipschitz constant of f in y, and the block length B is halved
+    from ``_CHORD_BLOCK`` until rho <= 1/2.  The iteration stops when
+    rho/(1 - rho) times a round's largest move, which bounds the distance
+    to the block's solution, is at most ``newton_tol`` * max(1, max |y|),
+    and raises NewtonError after ``newton_max`` rounds.  Where even B = 1
+    does not contract (2 L_f > |w_0|), or |w_0| <= 1e-12, NewtonError
+    names the step.
     """
     m = cfg.delay_offset(spec.h)
     grid = solver_grid(spec, m)
@@ -192,7 +172,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     head = _CHORD_BLOCK
     # the window spectra of lags 1 .. blocks-1, lag 1 without w_0 .. w_head;
     # taken once the node arrays above are freed, so their peaks do not add
-    windows, t_mat, t_inv = [], None, None
+    windows = []
     if blocks > 2:
         lag1 = w[: 2 * _GL_BLOCK, None].copy()
         lag1[: head + 1] = 0.0
@@ -200,11 +180,6 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         windows += [_window_spectrum(w[:, None], lag) for lag in range(2, blocks)]
         # past the windows, the near part and the head read lags below 2L only
         w = w[: 2 * _GL_BLOCK].copy()
-        # T and T^-1 of a B-node block held as matrices, whose product costs
-        # about half a truncated convolution; a solve of at most 2L nodes,
-        # whose whole peak is below their 2 B^2 floats (82 KB at 2049 nodes
-        # against 256 KB), keeps the convolutions
-        t_mat, t_inv = _lower_toeplitz(w[:size]), _lower_toeplitz(v[:size])
     extrapolate = _cubic_start(size)
     # spectra of the L-blocks that a later L-block reaches through windows
     spectra = np.empty((len(windows), _GL_BLOCK + 1, 1), dtype=complex)
@@ -228,8 +203,8 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
                 block_known = block_known - np.convolve(y[near:s], w[1 : e - near], "valid")
             x = extrapolate[:k] @ y[s - 4 : s]
             for _ in range(rounds):
-                residual = _lower_product(w, t_mat, x) - kappa * shape(x) - block_known
-                delta = _lower_product(v, t_inv, residual)
+                residual = np.convolve(w[:k], x)[:k] - kappa * shape(x) - block_known
+                delta = np.convolve(v[:k], residual)[:k]
                 x -= delta
                 if gap * np.abs(delta).max() <= tol * max(1.0, np.abs(x).max()):
                     break
