@@ -147,12 +147,12 @@ def _window_spectrum(w: np.ndarray, lag: int) -> np.ndarray:
     return spectrum
 
 
-def _lag_sum(spectra: np.ndarray, windows: list[np.ndarray]) -> np.ndarray:
+def _lag_sum(spectra: list[np.ndarray], windows: list[np.ndarray]) -> np.ndarray:
     """One output block (L values) of a blocked Toeplitz product: the inverse
     transform of sum_k spectra[k] * windows[k], summed over columns, where
-    ``spectra[k]`` is the size-2L rfft along axis 0 of a sample block and
-    ``windows[k]`` that of the weight window it pairs with (``_window_spectrum``).
-    The sum stops at the shorter of the two sequences.
+    ``spectra`` are the size-2L rffts along axis 0 of the sample blocks,
+    newest first, and ``windows[k]`` that of the weight window of lag k
+    (``_window_spectrum``).  The sum stops at the shorter of the two lists.
     """
     acc = spectra[0] * windows[0]
     for spectrum, window in zip(spectra[1:], windows[1:]):
@@ -165,23 +165,23 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     stacks of shape (n, c): a sum of lower-triangular Toeplitz products.
 
     Up to 2L rows, L = ``_GL_BLOCK``, these are direct convolutions, with no
-    transform.  Above, each sample block of L rows and each weight window of
-    lag 0 .. blocks-1 gets one size-2L rfft per column, all held for the
-    product, and output block b sums the products of block c <= b with the
+    transform.  Above, each weight window of lag 0 .. blocks-1 gets one
+    size-2L rfft per column, held for the product in place of the weights.
+    Then, in turn, sample block b (L rows) is transformed onto a newest-first
+    list, and output block b sums the products of block c <= b with the
     window of lag b - c and takes one inverse transform (Hairer, Lubich &
     Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
     """
     n, cols = x.shape
     if n <= 2 * _GL_BLOCK:
         return sum(np.convolve(x[:, q], w[:, q])[:n] for q in range(cols))
-    blocks = -(-n // _GL_BLOCK)
-    spectra = np.empty((blocks, _GL_BLOCK + 1, cols), dtype=complex)
-    for c, start in enumerate(range(0, n, _GL_BLOCK)):
-        spectra[c] = np.fft.rfft(x[start : start + _GL_BLOCK], 2 * _GL_BLOCK, axis=0)
-    windows = [_window_spectrum(w, lag) for lag in range(blocks)]
+    windows = [_window_spectrum(w, lag) for lag in range(-(-n // _GL_BLOCK))]
+    del w
+    spectra: list[np.ndarray] = []
     out = np.empty(n)
-    for b, start in enumerate(range(0, n, _GL_BLOCK)):
-        out[start : start + _GL_BLOCK] = _lag_sum(spectra[b::-1], windows)[: n - start]
+    for start in range(0, n, _GL_BLOCK):
+        spectra.insert(0, np.fft.rfft(x[start : start + _GL_BLOCK], 2 * _GL_BLOCK, axis=0))
+        out[start : start + _GL_BLOCK] = _lag_sum(spectra, windows)[: n - start]
     return out
 
 

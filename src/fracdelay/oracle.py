@@ -181,8 +181,8 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         # past the windows, the near part and the head read lags below 2L only
         w = w[: 2 * _GL_BLOCK].copy()
     extrapolate = _cubic_start(size)
-    # spectra of the L-blocks that a later L-block reaches through windows
-    spectra = np.empty((len(windows), _GL_BLOCK + 1, 1), dtype=complex)
+    # spectra of the L-blocks that a later L-block reaches through windows, newest first
+    spectra: list[np.ndarray] = []
     for b in range(blocks):
         start = b * _GL_BLOCK
         stop = min(start + _GL_BLOCK, n)
@@ -191,7 +191,7 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
             # p less the far part and the head: the known side but for the near part
             known = p[start:stop]
             if b >= 2:
-                known = known - _lag_sum(spectra[b - 1 :: -1], windows)[: stop - start]
+                known = known - _lag_sum(spectra, windows)[: stop - start]
                 # the previous L-block's last D nodes at lags 1..D, for nodes start..start+D-1
                 head_sum = np.convolve(y[start - head : start], w[1 : head + 1])[head - 1 :]
                 known[:head] -= head_sum[: stop - start]
@@ -215,8 +215,8 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
                     f"in {rounds} rounds"
                 )
             y[s:e] = x
-        if b < len(spectra):
-            spectra[b] = np.fft.rfft(y[start:stop, None], 2 * _GL_BLOCK, axis=0)
+        if b < len(windows):
+            spectra.insert(0, np.fft.rfft(y[start:stop, None], 2 * _GL_BLOCK, axis=0))
     return SolutionTrace(grid, y)
 
 

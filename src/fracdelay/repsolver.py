@@ -87,6 +87,8 @@ def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
 _ROOT_X, _ROOT_W = _graded_rule()
 # Legendre polynomials P_0..P_15 at the graded nodes, on [-1, 1]
 _ROOT_LEG = legvander(2.0 * _ROOT_X - 1.0, 15)
+# and at the 16 cell nodes, for row 0 of every kernel table
+_CELL_LEG = legvander(_GL_X, 15)
 
 # shape name -> (numpy function, sup |shape'|)
 _SHAPES: dict[str, tuple[Callable, float]] = {
@@ -255,7 +257,7 @@ class KernelCache:
             values = self.fetch_many("main", np.concatenate((_ROOT_X, lags.ravel())) * step)
             self._tables[step] = rows = np.empty((cells, _CELL_X.size))
             moments = (_ROOT_W * values[: _ROOT_X.size]) @ _ROOT_LEG
-            rows[0] = legvander(_GL_X, 15) @ (np.arange(1.0, 32.0, 2.0) * moments)
+            rows[0] = _CELL_LEG @ (np.arange(1.0, 32.0, 2.0) * moments)
             rows[1:] = values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
         return rows[:cells]
 
@@ -469,27 +471,15 @@ def apply_F(
     return SolutionTrace(y.grid, values)
 
 
-def weighted_norm(
-    ts: np.ndarray,
-    values: np.ndarray,
-    omega: float,
-    alpha: float,
-    ctrl: SeriesControl | None = None,
-    weights: np.ndarray | None = None,
-) -> float:
-    """||y||_omega = max over nodes in [0, T] of |y(t)| / E_{alpha,1}(omega t^alpha).
-
-    ``weights`` are the weights at the nodes t >= 0 when the caller already
-    has them (``picard_solve`` computes them once per solve); by default
-    they are evaluated here.
+def weighted_norm(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> float:
+    """||y||_omega = max over the nodes t >= 0 of ts of |y(t)| / weights, where
+    ``weights`` are the Bielecki weights E_{alpha,1}(omega t^alpha) at those
+    nodes, as ``picard_solve`` computes them once per solve and reports them.
     """
-    if not (math.isfinite(omega) and omega > 0):
-        raise ValidationError("weighted_norm requires a finite omega > 0")
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if weights is None:
-        weights = weight_ml(alpha, omega, ts[ts >= 0.0], ctrl)
-    return float(np.max(np.abs(values[ts >= 0.0]) / weights, initial=0.0))
+    pos = np.asarray(ts, dtype=float) >= 0.0
+    if np.shape(weights) != (np.count_nonzero(pos),):
+        raise ValidationError("weights must hold one value per node t >= 0")
+    return float(np.max(np.abs(np.asarray(values, dtype=float)[pos]) / weights, initial=0.0))
 
 
 def _growth(spec: ProblemSpec) -> float:
@@ -534,7 +524,8 @@ def picard_solve(
     late times can exceed 1e7, so the weighted criterion alone would leave
     visible absolute error there.  Returns the last iterate and the solve's
     one record, a report {tol, iterations, final_delta, q, omega, deltas,
-    deltas_sup, weights}, the last being the weights at the nodes t >= 0.
+    deltas_sup, weights}, the last being the weights at the nodes t >= 0,
+    evaluated once per solve, that every delta passes to ``weighted_norm``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
@@ -562,7 +553,7 @@ def picard_solve(
     for iteration in range(1, max_iter + 1):
         y_next = apply_F(spec, y, cache, base)
         diff = y_next.values - y.values
-        delta = weighted_norm(ts, diff, omega, spec.alpha, cache.ctrl, weights)
+        delta = weighted_norm(ts, diff, weights)
         deltas.append(delta)
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next

@@ -330,13 +330,13 @@ def traced_peak(run):
 def test_oracle_memory_peaks():
     # README problem.  At 2^-9 (2049 nodes, the oracle the picard-ref
     # benchmark workload builds): measured 83 KiB.  At 2^-13, gl_solve and
-    # then residual_check on its trace: measured 2151 KiB, 2215 KiB when the
-    # residual check held its alpha derivative through the beta derivative
+    # then residual_check on its trace: measured 1897 KiB, 2151 KiB when the
+    # blocked Toeplitz product held its weights through its output loop
     spec = make_spec(l=3, rhs=RhsSpec(kappa=0.25, shape="sin"))
     cfg = OracleConfig(step=2.0**-9)
     assert traced_peak(lambda: gl_solve(spec, cfg)) <= 128 * 1024
     cfg = OracleConfig(step=2.0**-13)
-    assert traced_peak(lambda: residual_check(gl_solve(spec, cfg), spec, cfg)) <= 2200 * 1024
+    assert traced_peak(lambda: residual_check(gl_solve(spec, cfg), spec, cfg)) <= 1950 * 1024
 
 
 def test_gl_solve_nonlinear_term_active():

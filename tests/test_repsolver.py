@@ -616,22 +616,29 @@ def test_apply_F_ignores_input_when_rhs_zero(spec6):
 
 
 def test_weighted_norm_basics():
-    from fracdelay.specfun import weight_ml
-
     ts = np.linspace(-1.0, 2.0, 25)
-    assert weighted_norm(ts, np.zeros(25), 2.0, 1.5) == 0.0
+    weights = weight_ml(1.5, 2.0, ts[ts >= 0])
+    assert weighted_norm(ts, np.zeros(25), weights) == 0.0
     w = np.array([weight_ml(1.5, 2.0, max(t, 0.0)) for t in ts])
-    assert weighted_norm(ts, w, 2.0, 1.5) == pytest.approx(1.0, rel=1e-12)
-    assert weighted_norm(ts, np.ones(25), 2.0, 1.5) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_norm(ts, w, weights) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_norm(ts, np.ones(25), weights) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValidationError):
-        weighted_norm(ts, np.ones(25), 0.0, 1.5)
+        weight_ml(1.5, 0.0, ts[ts >= 0])
 
 
 def test_weighted_norm_ignores_history_nodes():
     ts = np.array([-0.5, 0.5])
     vals = np.array([100.0, 1.0])
-    got = weighted_norm(ts, vals, 2.0, 1.5)
+    got = weighted_norm(ts, vals, weight_ml(1.5, 2.0, ts[ts >= 0]))
     assert got < 2.0  # the t=-0.5 spike does not count
+
+
+@pytest.mark.parametrize("shape", [(0,), (3,), (5,), (4, 1)])
+def test_weighted_norm_rejects_mismatched_weights(shape):
+    # four nodes t >= 0 need four weights, one each; (4, 1) would broadcast
+    ts = np.linspace(-1.0, 1.0, 7)
+    with pytest.raises(ValidationError, match="one value per node t >= 0"):
+        weighted_norm(ts, np.ones(7), np.ones(shape))
 
 
 def test_contraction_factor_values(spec6):
@@ -675,7 +682,6 @@ def test_non_finite_weight_parameters_rejected(small_sin_spec, x):
     for call in (
         lambda: weight_ml(1.6, x, ts),
         lambda: weight_ml(x, 1.0, ts),
-        lambda: weighted_norm(ts, np.ones(5), x, 1.6),
         lambda: picard_solve(spec, grid, omega=x),
         lambda: picard_solve(linear, solver_grid(linear, 4), omega=x),
         lambda: contraction_factor(spec, 0.25, x),
@@ -696,6 +702,7 @@ def test_apply_F_is_a_contraction(small_sin_spec):
     q = contraction_factor(spec, spec.rhs.lipschitz, omega)
     assert q == pytest.approx(0.5, rel=1e-12)
     ts = grid.nodes()
+    weights = weight_ml(spec.alpha, omega, ts[ts >= 0])
     rng = np.random.default_rng(20260823)
     base = linear_solution(make_spec(l=1), grid, cache=None).values
     for _ in range(2):
@@ -703,8 +710,8 @@ def test_apply_F_is_a_contraction(small_sin_spec):
         yb = SolutionTrace(grid, base + rng.uniform(-0.5, 0.5, size=grid.count))
         fa = apply_F(spec, ya, cache=cache)
         fb = apply_F(spec, yb, cache=cache)
-        lhs = weighted_norm(ts, fa.values - fb.values, omega, spec.alpha)
-        rhs = weighted_norm(ts, ya.values - yb.values, omega, spec.alpha)
+        lhs = weighted_norm(ts, fa.values - fb.values, weights)
+        rhs = weighted_norm(ts, ya.values - yb.values, weights)
         assert lhs <= q * rhs + 1e-12
 
 
@@ -737,9 +744,9 @@ def test_picard_sin_spec_converges(small_sin_spec):
     # fixed-point self-consistency: one more application moves the trace by
     # at most 2*tol in the weighted norm
     again = apply_F(spec, trace)
-    drift = weighted_norm(
-        grid.nodes(), again.values - trace.values, report["omega"], spec.alpha
-    )
+    ts = grid.nodes()
+    weights = weight_ml(spec.alpha, report["omega"], ts[ts >= 0])
+    drift = weighted_norm(ts, again.values - trace.values, weights)
     assert drift <= 2e-8
 
 

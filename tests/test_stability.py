@@ -271,7 +271,6 @@ def test_perturbed_solve_evaluates_weights_once_per_solve(monkeypatch):
     assert len(calls) == 2
     monkeypatch.undo()
     ts = grid.nodes()
-    lhs = repsolver.weighted_norm(
-        ts, result.x.values - result.y.values, result.x_report["omega"], spec.alpha
-    )
+    weights = repsolver.weight_ml(spec.alpha, result.x_report["omega"], ts[ts >= 0])
+    lhs = repsolver.weighted_norm(ts, result.x.values - result.y.values, weights)
     assert result.lhs == lhs
