@@ -171,6 +171,9 @@ def _parse_numerics(cfg: dict) -> tuple[dict, dict, SeriesControl | None]:
     node = _section(cfg.get("numerics", {}), "numerics", fields)
     if "omega" in node and not node["omega"] > 0:
         raise ValidationError("numerics.omega must be positive (omit it for the automatic weight)")
+    for key in ("picard_tol", "max_iter"):
+        if key in node and not node[key] > 0:
+            raise ValidationError(f"numerics.{key} must be positive")
     ctrl = None
     if "series" in node:
         fields = dict(real="abs_tol rel_tol", integer="max_terms consecutive_small")

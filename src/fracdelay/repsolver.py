@@ -192,12 +192,14 @@ def solver_grid(spec: ProblemSpec, divisor: int = 128) -> UniformGrid:
     return UniformGrid(-spec.h, step, int(divisor) * (spec.l + 1) + 1)
 
 
-def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> int:
-    """Validate grid alignment; return m = h/step, the index of t = 0."""
+def _check_solver_grid(spec: ProblemSpec, grid: UniformGrid) -> tuple[int, np.ndarray]:
+    """Validate a solve grid by the grid rule; return m = h/step, the index of
+    t = 0, and the rule's nodes -h + k*h/m, those of ``solver_grid(spec, m)``:
+    every closed-form solve works at these times, whatever the grid's rounding."""
     m = _delay_steps(grid, spec.h)
     if grid.count != m * (spec.l + 1) + 1:
         raise ValidationError("solver grid must end at T = l*h")
-    return m
+    return m, -spec.h + spec.h / m * np.arange(grid.count)
 
 
 def _kernel_params(spec: ProblemSpec, kernel: str) -> tuple:
@@ -353,30 +355,26 @@ def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) ->
 def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache | None = None):
     """integral_0^t K1(t - s) source(s) ds, 0 for t <= 0, by the module's product rule.
 
-    ``source`` maps an array of times to values.  For one time t (float
-    result) the cells are h/POINT_DIVISOR wide.  For an array t whose
-    positive entries are consecutive grid nodes k*step, step dividing h,
-    those are done in one Toeplitz sweep with cells one step wide; any other
-    array is done one time at a time.
+    ``source`` maps an array of times to values; ``t`` is one time (float
+    result) or an array.  Positive times that are consecutive grid nodes
+    k*step, step dividing h, are one Toeplitz sweep with cells one step wide.
+    Any other positive time is done alone on cells h/POINT_DIVISOR wide, the
+    last clipped at s = 0, reading the source at the graded cell's 400 nodes.
     """
     cache = _cache_for(spec, cache)
     ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("convolve_kernel requires finite t")
-    if ts.ndim == 0:
-        if not ts > 0.0:
-            return 0.0
-        us, ws = _point_rule(float(ts), spec.h / POINT_DIVISOR)
-        return float(np.dot(ws, cache.fetch_many("main", us) * _sample(source, ts - us)))
     out = np.zeros(ts.shape)
     pos = ts > 0.0
-    if pos.any():
-        step = _sweep_step(spec, ts[pos])
-        if step is not None:
-            out[pos] = _sweep(cache, source, ts[pos], step)
-        else:
-            out[pos] = [convolve_kernel(spec, source, x, cache) for x in ts[pos]]
-    return out
+    step = _sweep_step(spec, ts[pos])
+    if step is not None:
+        out[pos] = _sweep(cache, source, ts[pos], step)
+    else:
+        for i, x in zip(np.flatnonzero(pos), ts[pos]):
+            us, ws = _point_rule(x, spec.h / POINT_DIVISOR)
+            out.flat[i] = np.dot(ws, cache.fetch_many("main", us) * _sample(source, x - us))
+    return float(out) if out.ndim == 0 else out
 
 
 def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
@@ -419,8 +417,7 @@ def _base(spec: ProblemSpec, grid: UniformGrid, cache: KernelCache) -> np.ndarra
     """The part b of F y that does not depend on y, on the grid: phi on
     [-h, 0], and for t > 0 the homogeneous term plus the kernel integral of
     the rhs poly_part."""
-    m = _check_solver_grid(spec, grid)
-    ts = grid.nodes()
+    m, ts = _check_solver_grid(spec, grid)
     base = np.empty(grid.count)
     base[: m + 1] = spec.phi(ts[: m + 1])
     base[m + 1 :] = homogeneous_at(spec, ts[m + 1 :], cache)
@@ -454,11 +451,10 @@ def apply_F(
     is b on the grid when the caller already has it (``picard_solve``
     takes it once per solve).
     """
-    m = _check_solver_grid(spec, y.grid)
+    m, nodes = _check_solver_grid(spec, y.grid)
     cache = _cache_for(spec, cache)
     if base is None:
         base = _base(spec, y.grid, cache)
-    nodes = y.grid.nodes()
     rhs = spec.rhs
 
     def forcing(s: np.ndarray) -> np.ndarray:
@@ -540,12 +536,12 @@ def picard_solve(
             f"contraction factor q={q:.6g} >= 1; increase omega or shrink the problem"
         )
     cache = _cache_for(spec, cache)
+    ts = _check_solver_grid(spec, grid)[1]
     if base is None:
         base = _base(spec, grid, cache)
     elif np.shape(base) != (grid.count,):
         raise ValidationError("base must hold one value per grid node")
     y = SolutionTrace(grid, base)
-    ts = grid.nodes()
     weights = weight_ml(spec.alpha, omega, ts[ts >= 0.0], cache.ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []

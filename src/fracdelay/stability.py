@@ -95,8 +95,7 @@ def perturbed_solve(
     the ``tol``, ``omega`` and ``iterations`` each was solved with.
     """
     cache = _cache_for(spec, cache)
-    m = _check_solver_grid(spec, grid)
-    ts = grid.nodes()
+    m, ts = _check_solver_grid(spec, grid)
     # pert checks sup |g_shape| <= 1 at the grid nodes here, and wherever
     # forced_at samples it
     pert(ts[m:])

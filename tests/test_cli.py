@@ -622,6 +622,23 @@ def test_bad_picard_options_rejected(tmp_path, numerics):
     assert cli.main(["uh", "--config", cfg, "--epsilon", "0.01"]) == 1
 
 
+@pytest.mark.parametrize("numerics", [{"picard_tol": -1.0}, {"max_iter": 0}])
+@pytest.mark.parametrize("rhs", [None, {"kappa": 0.25, "shape": "sin"}])
+def test_bad_picard_options_rejected_by_every_command(tmp_path, capsys, numerics, rhs):
+    # read where numerics is read, so a linear problem, which runs no Picard
+    # iteration, rejects them as the sin problem does
+    key = next(iter(numerics))
+    cfg = {
+        "problem": dict(SQUARE_PROBLEM, rhs=rhs),
+        "numerics": dict(numerics, grid_divisor=8),
+        "eval": dict(_ML_EVAL, points=3),
+    }
+    path = write_config(tmp_path, "c.json", cfg)
+    for command in (["eval"], ["solve"], ["compare"], ["uh", "--epsilon", "0.01"]):
+        assert cli.main([*command, "--config", path]) == 1, command
+        assert f"numerics.{key} must be positive" in capsys.readouterr().err
+
+
 def test_solve_tiny_omega_fails_contraction(tmp_path):
     prob = dict(SQUARE_PROBLEM, rhs={"kappa": 0.25, "shape": "sin"})
     cfg = write_config(

@@ -577,6 +577,29 @@ def test_solver_grid_accepted_at_any_scale():
     np.testing.assert_allclose(trace.values[13:], expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("delta", [1e-11, 5e-10, -5e-10])
+def test_grids_the_rule_accepts_solve_at_its_nodes(spec6, delta):
+    # a step (h/m)(1 + delta) passes the grid rule, so the closed form, like
+    # gl_solve, solves at the rule's nodes -h + k*h/m: the values are those
+    # of solver_grid(spec, m) bit for bit, and the traces keep the given grid
+    m = 128
+    grid = UniformGrid(-spec6.h, spec6.h / m * (1.0 + delta), m * (spec6.l + 1) + 1)
+    exact = solver_grid(spec6, m)
+    trace = linear_solution(spec6, grid)
+    assert trace.grid == grid
+    assert np.array_equal(trace.values, linear_solution(spec6, exact).values)
+    sin = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    (y, report), (y_exact, report_exact) = picard_solve(sin, grid), picard_solve(sin, exact)
+    assert y.grid == grid
+    assert np.array_equal(y.values, y_exact.values)
+    for key in ("deltas", "weights"):
+        assert np.array_equal(report[key], report_exact[key])
+    pert = PerturbationSpec(1e-2, lambda t: np.cos(2.0 * t))
+    uh, uh_exact = perturbed_solve(sin, pert, grid), perturbed_solve(sin, pert, exact)
+    assert (uh.lhs, uh.rhs_bound) == (uh_exact.lhs, uh_exact.rhs_bound)
+    assert np.array_equal(uh.x.values, uh_exact.x.values)
+
+
 @pytest.mark.parametrize("h", [0.45, 0.85])
 def test_swept_nodes_found_by_index(monkeypatch, h):
     # at step h/100 node 100 is -h + 100*step = +5.6e-17 (h = 0.45) or
