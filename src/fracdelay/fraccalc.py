@@ -75,13 +75,15 @@ def _delay_steps(grid: UniformGrid, h: float) -> int:
 
 @dataclass(frozen=True)
 class ShiftedPolynomial:
-    """Polynomial sum_m c_m (t - base)^m with an explicit expansion point."""
+    """Polynomial sum_m c_m (t - base)^m about a finite base, with finite coefficients."""
 
     base: float
     coeffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(math.isfinite(x) for x in (self.base, *self.coeffs)):
+            raise ValidationError("polynomial base and coefficients must be finite")
 
     def __call__(self, t):
         # Horner; works elementwise on numpy arrays too.

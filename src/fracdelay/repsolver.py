@@ -118,8 +118,8 @@ class RhsSpec:
             raise ValidationError(
                 f"unknown rhs shape {self.shape!r}; choose from {sorted(_SHAPES)}"
             )
-        if not all(math.isfinite(x) for x in (self.kappa, *self.poly_part.coeffs)):
-            raise ValidationError("rhs kappa and polynomial coefficients must be finite")
+        if not math.isfinite(self.kappa):
+            raise ValidationError("rhs kappa must be finite")
 
     @property
     def lipschitz(self) -> float:
@@ -149,8 +149,8 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         numbers = (self.alpha, self.beta, self.lam, self.mu, self.h, self.l, self.c1, self.c2)
-        if not all(math.isfinite(x) for x in (*numbers, *self.phi.coeffs)):
-            raise ValidationError("problem parameters and history coefficients must be finite")
+        if not all(math.isfinite(x) for x in numbers):
+            raise ValidationError("problem parameters must be finite")
         if not (1.0 < self.alpha <= 2.0):
             raise ValidationError("alpha must lie in (1, 2]")
         if not (0.0 < self.beta < 1.0):
@@ -246,12 +246,12 @@ class KernelCache:
         return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
 
     def table(self, step: float, cells: int) -> np.ndarray:
-        """Kernel weights of the rule on lags 0..cells-1 of width ``step``.
+        """Product-rule weights, per unit cell width, on lags 0..cells-1 of width ``step``.
 
-        rows[d, q] = K1((d + _CELL_X[q]) * step) for d >= 1.  Row 0 is the graded
-        cell's weights against the Lagrange basis on _CELL_X, over _CELL_W:
-        sum_j (2j+1) P_j(_GL_X[q]) m_j, with m_j the graded rule's moment of K1
-        against P_j (exact, as 16-node Gauss integrates l_q P_j, degree 30).
+        rows[d, q] = _CELL_W[q] K1((d + _CELL_X[q]) * step) for d >= 1.  Row 0 is
+        the graded cell's weights against the Lagrange basis on _CELL_X:
+        _CELL_W[q] sum_j (2j+1) P_j(_GL_X[q]) m_j, m_j the graded rule's moment of
+        K1 against P_j (exact, as 16-node Gauss integrates l_q P_j, degree 30).
         """
         rows = self._tables.get(step)
         if rows is None or len(rows) < cells:
@@ -259,8 +259,8 @@ class KernelCache:
             values = self.fetch_many("main", np.concatenate((_ROOT_X, lags.ravel())) * step)
             self._tables[step] = rows = np.empty((cells, _CELL_X.size))
             moments = (_ROOT_W * values[: _ROOT_X.size]) @ _ROOT_LEG
-            rows[0] = _CELL_LEG @ (np.arange(1.0, 32.0, 2.0) * moments)
-            rows[1:] = values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
+            rows[0] = _CELL_W * (_CELL_LEG @ (np.arange(1.0, 32.0, 2.0) * moments))
+            rows[1:] = _CELL_W * values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
         return rows[:cells]
 
 
@@ -324,9 +324,9 @@ def _point_rule(t: float, step: float) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(us), np.concatenate(ws)
 
 
-def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
-    """The grid step if ts are consecutive nodes k*step (k >= 1) of a grid
-    whose step divides h, else None."""
+def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> tuple[float, int] | None:
+    """The grid step and the k of ts[0] if ts are consecutive nodes k*step
+    (k >= 1) of a grid whose step divides h, else None."""
     if ts.size < 2 or not ts[-1] > ts[0]:
         return None
     step = spec.h / max(1, round(spec.h * (ts.size - 1) / (ts[-1] - ts[0])))
@@ -334,7 +334,7 @@ def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> float | None:
     first = _whole_steps(ts[0], step) or 0
     if first < 1 or not _whole_steps(gaps.min(), step) == _whole_steps(gaps.max(), step) == 1:
         return None
-    return step
+    return step, first
 
 
 def _cell_nodes(step: float, cells: int) -> np.ndarray:
@@ -344,11 +344,10 @@ def _cell_nodes(step: float, cells: int) -> np.ndarray:
     return (np.arange(1, cells + 1)[:, None] - _CELL_X) * step
 
 
-def _sweep(cache: KernelCache, source: Callable, ts: np.ndarray, step: float) -> np.ndarray:
-    """integral_0^t K1(t - s) source(s) ds at the consecutive nodes ts = k*step."""
-    first = round(ts[0] / step)
-    n = first + ts.size - 1
-    total = _toeplitz(cache.table(step, n) * _CELL_W, _sample(source, _cell_nodes(step, n)))
+def _sweep(cache: KernelCache, source: Callable, step: float, first: int, n: int) -> np.ndarray:
+    """integral_0^t K1(t - s) source(s) ds at the nodes t = k*step, k = first .. first+n-1."""
+    cells = first + n - 1
+    total = _toeplitz(cache.table(step, cells), _sample(source, _cell_nodes(step, cells)))
     return step * total[first - 1 :]
 
 
@@ -367,11 +366,12 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
         raise ValidationError("convolve_kernel requires finite t")
     out = np.zeros(ts.shape)
     pos = ts > 0.0
-    step = _sweep_step(spec, ts[pos])
-    if step is not None:
-        out[pos] = _sweep(cache, source, ts[pos], step)
+    tp = ts[pos]
+    sweep = _sweep_step(spec, tp)
+    if sweep is not None:
+        out[pos] = _sweep(cache, source, *sweep, tp.size)
     else:
-        for i, x in zip(np.flatnonzero(pos), ts[pos]):
+        for i, x in zip(np.flatnonzero(pos), tp):
             us, ws = _point_rule(x, spec.h / POINT_DIVISOR)
             out.flat[i] = np.dot(ws, cache.fetch_many("main", us) * _sample(source, x - us))
     return float(out) if out.ndim == 0 else out

@@ -155,8 +155,8 @@ def mittag_leffler(a: float, b: float, z: float, ctrl: SeriesControl | None = No
 
     It is row k = 0 of the delayed series at t = 1 with lam = z.
     """
-    if not (a > 0 and b > 0):
-        raise ValidationError("mittag_leffler requires a > 0 and b > 0")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise ValidationError("mittag_leffler requires finite a > 0 and b > 0")
     if not math.isfinite(z):
         raise ValidationError("mittag_leffler requires a finite z")
     return float(_delayed_series(1.0, a, b, 1.0, z, 0.0, 1.0, ctrl))
@@ -285,6 +285,8 @@ def g_function(
         raise ValidationError("g_function requires 1 < alpha <= 2, 0 < beta < 1, alpha-beta > 1")
     if not 0 < t < math.inf:
         raise ValidationError("g_function requires finite t > 0")
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise ValidationError("g_function requires finite lam and mu")
     log_t = math.log(t)
     log_lam = math.log(abs(lam)) if lam != 0.0 else None
     log_mu = math.log(abs(mu)) if mu != 0.0 else None
@@ -342,8 +344,8 @@ def delayed_ml_piecewise(
 
     Every branch is a finite sum.
     """
-    if not (h > 0 and a > 0 and b > 0 and math.isfinite(t)):
-        raise ValidationError("delayed_ml_piecewise requires h, a, b > 0 and a finite t")
+    if not (all(0 < x < math.inf for x in (h, a, b)) and math.isfinite(mu) and math.isfinite(t)):
+        raise ValidationError("delayed_ml_piecewise requires finite h, a, b > 0, mu and t")
     if t <= -h:
         return 0.0
     if t <= 0.0:
@@ -479,8 +481,10 @@ def delayed_ml_gen_many(
     ctrl: SeriesControl | None = None,
 ):
     """``delayed_ml_gen`` at every point of the array ``ts`` (same shape)."""
-    if not (h > 0 and a > 0 and b > 0 and gamma > 0):
-        raise ValidationError("delayed_ml_gen requires h, a, b, gamma > 0")
+    if not all(0 < x < math.inf for x in (h, a, b, gamma)):
+        raise ValidationError("delayed_ml_gen requires finite h, a, b, gamma > 0")
+    if not (math.isfinite(lam) and math.isfinite(mu)):
+        raise ValidationError("delayed_ml_gen requires finite lam and mu")
     if not np.all(np.isfinite(ts)):
         raise ValidationError("delayed_ml_gen requires finite t")
     return _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl)

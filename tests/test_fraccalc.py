@@ -97,6 +97,23 @@ def test_poly_degree_and_zero():
     assert not ShiftedPolynomial(0.0, (0.0, 1e-30)).is_zero()
 
 
+@pytest.mark.parametrize(
+    "base, coeffs",
+    [
+        (math.nan, (0.0, 0.0, 1.0)),
+        (math.inf, (1.0,)),
+        (-math.inf, (1.0,)),
+        (-1.0, (0.0, math.nan)),
+        (0.0, (math.inf,)),
+    ],
+)
+def test_poly_rejects_non_finite_data(base, coeffs):
+    # checked where the data lives: past it, a NaN history base gives NaN
+    # solver values, and a non-finite rhs base a Picard run that never converges
+    with pytest.raises(ValidationError, match="finite"):
+        ShiftedPolynomial(base, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # rl_derivative_power
 # ---------------------------------------------------------------------------

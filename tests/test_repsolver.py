@@ -130,7 +130,7 @@ def test_problem_spec_horizon(spec6):
         {"phi": ShiftedPolynomial(0.0, (0.0, 0.0, 1.0))},  # wrong base
         {"lam": math.nan},
         {"mu": math.inf},
-        {"phi": ShiftedPolynomial(-1.0, (0.0, math.nan))},
+        {"c1": math.nan},  # a NaN history coefficient fails in ShiftedPolynomial itself
         {"l": True},  # once read as one delay interval
         {"l": 2.0},
     ],
@@ -930,10 +930,19 @@ def test_sweep_above_2L_cells_matches_direct_convolutions(spec6):
     rows = cache.table(step, n)
     cells = (np.arange(1, n + 1)[:, None] - repsolver._CELL_X) * step
     samples = np.cos(2.0 * cells)
-    want = step * sum(
-        w * np.convolve(samples[:, q], rows[:, q])[:n] for q, w in enumerate(repsolver._CELL_W)
-    )
+    want = step * sum(np.convolve(samples[:, q], rows[:, q])[:n] for q in range(16))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_kernel_table_holds_the_rule_weights(spec6):
+    # the table is the rule's weights, _CELL_W times the kernel at the cell
+    # nodes; a separate fetch_many sets its own term counts, so not bitwise
+    step, n = spec6.h / 8, 24
+    cache = KernelCache(spec6)
+    rows = cache.table(step, n)
+    for d in range(1, n):
+        want = repsolver._CELL_W * cache.fetch_many("main", (d + repsolver._CELL_X) * step)
+        assert np.max(np.abs(rows[d] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 _NO_FFT_PICARD_RUN = """

@@ -475,6 +475,35 @@ def test_non_finite_argument_rejected(x):
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: delayed_ml_gen(math.inf, 1.2, 1.6, 1.6, -0.5, 0.3, 1.5),
+        lambda: delayed_ml_gen(1.0, 1.2, 1.6, 1.6, math.nan, 0.3, 1.5),
+        lambda: delayed_ml_gen(1.0, 1.2, 1.6, 1.6, -0.5, math.nan, 1.5),
+        lambda: delayed_ml_gen(1.0, math.inf, 1.6, 1.6, -0.5, 0.3, 1.5),
+        lambda: delayed_ml_gen(1.0, 1.2, math.inf, 1.6, -0.5, 0.3, 1.5),
+        lambda: delayed_ml_gen_many(1.0, 1.2, 1.6, math.inf, -0.5, 0.3, [1.5]),
+        lambda: delayed_ml_piecewise(1.0, 1.2, 1.6, math.nan, 1.5),
+        lambda: delayed_ml_piecewise(math.inf, 1.2, 1.6, 0.3, 1.5),
+        lambda: delayed_ml_piecewise(1.0, 1.2, 1.6, math.inf, 1.5),
+        lambda: mittag_leffler(math.inf, 1.0, 0.5),
+        lambda: g_function(1.6, 0.4, math.nan, 0.3, 1.5),
+        lambda: g_function(1.6, 0.4, -0.5, math.inf, 1.5),
+    ],
+    ids=[
+        "gen-h-inf", "gen-lam-nan", "gen-mu-nan", "gen-a-inf", "gen-b-inf", "gen-gamma-inf",
+        "piecewise-mu-nan", "piecewise-h-inf", "piecewise-mu-inf", "ml-a-inf",
+        "g-lam-nan", "g-mu-inf",
+    ],
+)
+def test_non_finite_parameters_are_validation_errors(call):
+    # a non-finite parameter is bad input (exit 1), not a value (0.0, NaN or
+    # inf from a NaN base) or an overflow of the series (exit 2)
+    with pytest.raises(ValidationError, match="finite"):
+        call()
+
+
 def test_g_function_validation():
     with pytest.raises(ValidationError):
         g_function(2.4, 0.4, 0.1, 0.1, 1.0)  # alpha out of range
