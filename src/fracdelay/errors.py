@@ -12,6 +12,7 @@ __all__ = [
     "PoleError",
     "ConvergenceError",
     "SeriesConvergenceError",
+    "CancellationError",
     "NonContractionError",
     "IterationLimitError",
     "NewtonError",
@@ -36,6 +37,11 @@ class ConvergenceError(FracDelayError, RuntimeError):
 
 class SeriesConvergenceError(ConvergenceError):
     """Series truncation rule did not fire within ``max_terms``."""
+
+
+class CancellationError(ConvergenceError):
+    """A series sum lost its digits to cancellation: its terms are far larger
+    than the sum, so the rounding error estimate passes the limit."""
 
 
 class NonContractionError(ConvergenceError):

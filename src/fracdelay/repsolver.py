@@ -10,15 +10,15 @@ is solved by two delayed-ML kernels plus convolution integrals; the nonlinear
 f(t, y) case runs a Picard iteration that is a contraction in the weighted
 maximum norm ||y||_omega = max |y(t)| / E_{alpha,1}(omega t^alpha).
 
-Convolutions integral K(t - s) source(s) ds use one fixed product rule:
+Convolutions integral K(t - s) source(s) ds use one product rule (_rule):
 16-node Gauss-Legendre on cells of width `step` laid back from s = t, so the
 kernel kinks s = t - k*h fall on cell edges whenever step divides h, with
 the cell at s = t, where the main kernel goes like (t - s)^{alpha-1}, graded
-geometrically into ROOT_LEVELS + 1 pieces.  On a solver grid the kernel
-offsets of a cell depend only on its lag behind the node, so the weights are
-tabulated once per step (KernelCache.table, the graded cell folded onto its
-16 nodes) and the integrals at all nodes are one Toeplitz product of the 16
-weight columns with the source at the cell nodes (fraccalc._toeplitz).  The
+geometrically into ROOT_LEVELS + 1 pieces and folded onto its 16 nodes.  On
+a solver grid the kernel offsets of a cell depend only on its lag behind
+the node, so the weights are tabulated once per step (KernelCache.table)
+and the integrals at all nodes are one Toeplitz product of the 16 weight
+columns with the source at the cell nodes (fraccalc._toeplitz).  The
 homogeneous term up to its part over [0, t], history included, is one sum
 of delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 """
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from .errors import IterationLimitError, NonContractionError, ValidationError
 from .fraccalc import (
@@ -71,24 +70,36 @@ ROOT_LEVELS = 24
 # cells per delay h for a single time t, which brings no grid of its own
 POINT_DIVISOR = 8
 
-_GL_X, _GL_W = leggauss(16)
+# the positive nodes of the 16-node Gauss-Legendre rule on [-1, 1] and their
+# weights; mirrored, they are numpy's leggauss(16) to the bit
+_GL_POS, _GL_POS_W = np.array([float.fromhex(x) for x in """
+    0x1.852bd6676a9f9p-4 0x1.83feae80e4e01p-3  0x1.205cae642337cp-2 0x1.75f8c77e0c011p-3
+    0x1.d50259a43a772p-2 0x1.5a6ebbb5a7600p-3  0x1.3c5a466d5e8b8p-1 0x1.325f61bca3cbep-3
+    0x1.82c45dda4726bp-1 0x1.fe7af2bad3878p-4  0x1.bb3403514e483p-1 0x1.85c4ee79cc24bp-4
+    0x1.e39f56616f9b0p-1 0x1.fdfb1a2c1261ep-5  0x1.fa92c264d787ep-1 0x1.bcddab4b7c228p-6
+""".split()]).reshape(8, 2).T
+_GL_X = np.concatenate((-_GL_POS[::-1], _GL_POS))
+_GL_W = np.concatenate((_GL_POS_W[::-1], _GL_POS_W))
 # 16-node rule on [0, 1]
 _CELL_X = 0.5 * (_GL_X + 1.0)
 _CELL_W = 0.5 * _GL_W
 
 
-def _graded_rule() -> tuple[np.ndarray, np.ndarray]:
+def _graded_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x and weights of the graded rule on [0, 1], and lag[g, q] = l_q(x[g]),
+    l_q the Lagrange basis polynomial of the cell node _CELL_X[q]."""
     edges = np.concatenate(([0.0], 2.0 ** -np.arange(ROOT_LEVELS, -1, -1.0)))
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
-    return (lo + width * _CELL_X).ravel(), (width * _CELL_W).ravel()
+    x = (lo + width * _CELL_X).ravel()
+    lag = np.ones((x.size, _CELL_X.size))
+    for p, xp in enumerate(_CELL_X):
+        others = np.arange(_CELL_X.size) != p
+        lag[:, others] *= (x[:, None] - xp) / (_CELL_X[others] - xp)
+    return x, (width * _CELL_W).ravel(), lag
 
 
 # rule on [0, 1] for the cell whose kernel offset u = t - s starts at 0
-_ROOT_X, _ROOT_W = _graded_rule()
-# Legendre polynomials P_0..P_15 at the graded nodes, on [-1, 1]
-_ROOT_LEG = legvander(2.0 * _ROOT_X - 1.0, 15)
-# and at the 16 cell nodes, for row 0 of every kernel table
-_CELL_LEG = legvander(_GL_X, 15)
+_ROOT_X, _ROOT_W, _ROOT_LAG = _graded_rule()
 
 # shape name -> (numpy function, sup |shape'|)
 _SHAPES: dict[str, tuple[Callable, float]] = {
@@ -246,22 +257,24 @@ class KernelCache:
         return delayed_ml_gen_many(*args, np.asarray(us, dtype=float), self.ctrl)
 
     def table(self, step: float, cells: int) -> np.ndarray:
-        """Product-rule weights, per unit cell width, on lags 0..cells-1 of width ``step``.
-
-        rows[d, q] = _CELL_W[q] K1((d + _CELL_X[q]) * step) for d >= 1.  Row 0 is
-        the graded cell's weights against the Lagrange basis on _CELL_X:
-        _CELL_W[q] sum_j (2j+1) P_j(_GL_X[q]) m_j, m_j the graded rule's moment of
-        K1 against P_j (exact, as 16-node Gauss integrates l_q P_j, degree 30).
-        """
+        """Product-rule weights, per unit cell width, on lags 0..cells-1 of width ``step``."""
         rows = self._tables.get(step)
         if rows is None or len(rows) < cells:
-            lags = np.arange(1, cells)[:, None] + _CELL_X
-            values = self.fetch_many("main", np.concatenate((_ROOT_X, lags.ravel())) * step)
-            self._tables[step] = rows = np.empty((cells, _CELL_X.size))
-            moments = (_ROOT_W * values[: _ROOT_X.size]) @ _ROOT_LEG
-            rows[0] = _CELL_W * (_CELL_LEG @ (np.arange(1.0, 32.0, 2.0) * moments))
-            rows[1:] = _CELL_W * values[_ROOT_X.size :].reshape(cells - 1, _CELL_X.size)
+            self._tables[step] = rows = _rule(self, np.arange(cells) * step, np.full(cells, step))[1]
         return rows[:cells]
+
+
+def _rule(cache: KernelCache, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets u = t - s (one row of 16 per cell) and weights per unit width of
+    the product rule on the cells [lo, lo + width] of u: _CELL_W * K1(us), but
+    for cell 0, at u = 0, the graded rule folded onto the cell nodes,
+    ws[0, q] = sum_g _ROOT_W[g] K1(_ROOT_X[g] * width[0]) l_q(_ROOT_X[g])."""
+    us = lo[:, None] + width[:, None] * _CELL_X
+    values = cache.fetch_many("main", np.concatenate((_ROOT_X * width[0], us[1:].ravel())))
+    ws = np.empty(us.shape)
+    ws[0] = (_ROOT_W * values[: _ROOT_X.size]) @ _ROOT_LAG
+    ws[1:] = _CELL_W * values[_ROOT_X.size :].reshape(-1, _CELL_X.size)
+    return us, ws
 
 
 def _cache_for(spec: ProblemSpec, cache: KernelCache | None) -> KernelCache:
@@ -311,19 +324,6 @@ def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(source(s), dtype=float), s.shape)
 
 
-def _point_rule(t: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets u = t - s and weights of the rule on [0, t]: cells
-    [d*step, (d+1)*step] clipped to t, the one at u = 0 graded."""
-    edges = np.minimum(np.arange(math.ceil(t / step) + 1) * step, t)
-    us, ws = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi > lo:
-            x, w = (_ROOT_X, _ROOT_W) if lo == 0.0 else (_CELL_X, _CELL_W)
-            us.append(lo + (hi - lo) * x)
-            ws.append((hi - lo) * w)
-    return np.concatenate(us), np.concatenate(ws)
-
-
 def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> tuple[float, int] | None:
     """The grid step and the k of ts[0] if ts are consecutive nodes k*step
     (k >= 1) of a grid whose step divides h, else None."""
@@ -358,7 +358,7 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
     result) or an array.  Positive times that are consecutive grid nodes
     k*step, step dividing h, are one Toeplitz sweep with cells one step wide.
     Any other positive time is done alone on cells h/POINT_DIVISOR wide, the
-    last clipped at s = 0, reading the source at the graded cell's 400 nodes.
+    last clipped at s = 0 (``_rule``).
     """
     cache = _cache_for(spec, cache)
     ts = np.asarray(t, dtype=float)
@@ -371,9 +371,12 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
     if sweep is not None:
         out[pos] = _sweep(cache, source, *sweep, tp.size)
     else:
+        step = spec.h / POINT_DIVISOR
         for i, x in zip(np.flatnonzero(pos), tp):
-            us, ws = _point_rule(x, spec.h / POINT_DIVISOR)
-            out.flat[i] = np.dot(ws, cache.fetch_many("main", us) * _sample(source, x - us))
+            edges = np.minimum(np.arange(math.ceil(x / step) + 1) * step, x)
+            edges = edges[: np.searchsorted(edges, x) + 1]
+            us, ws = _rule(cache, edges[:-1], np.diff(edges))
+            out.flat[i] = np.vdot(np.diff(edges)[:, None] * ws, _sample(source, x - us))
     return float(out) if out.ndim == 0 else out
 
 
@@ -467,15 +470,13 @@ def apply_F(
     return SolutionTrace(y.grid, values)
 
 
-def weighted_norm(ts: np.ndarray, values: np.ndarray, weights: np.ndarray) -> float:
-    """||y||_omega = max over the nodes t >= 0 of ts of |y(t)| / weights, where
-    ``weights`` are the Bielecki weights E_{alpha,1}(omega t^alpha) at those
-    nodes, as ``picard_solve`` computes them once per solve and reports them.
-    """
-    pos = np.asarray(ts, dtype=float) >= 0.0
-    if np.shape(weights) != (np.count_nonzero(pos),):
+def weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
+    """||y||_omega = max |y| / weights over the solved nodes (index m = h/step
+    on): ``values`` are y there and ``weights`` the Bielecki weights
+    E_{alpha,1}(omega t^alpha) that ``picard_solve`` computes once per solve."""
+    if np.shape(weights) != np.shape(values):
         raise ValidationError("weights must hold one value per node t >= 0")
-    return float(np.max(np.abs(np.asarray(values, dtype=float)[pos]) / weights, initial=0.0))
+    return float(np.max(np.abs(np.asarray(values, dtype=float)) / weights, initial=0.0))
 
 
 def _growth(spec: ProblemSpec) -> float:
@@ -520,8 +521,9 @@ def picard_solve(
     late times can exceed 1e7, so the weighted criterion alone would leave
     visible absolute error there.  Returns the last iterate and the solve's
     one record, a report {tol, iterations, final_delta, q, omega, deltas,
-    deltas_sup, weights}, the last being the weights at the nodes t >= 0,
-    evaluated once per solve, that every delta passes to ``weighted_norm``.
+    deltas_sup, weights}, the last being the weights at the solved nodes
+    (index m = h/step on), evaluated once per solve, that every delta passes
+    to ``weighted_norm``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
@@ -536,20 +538,21 @@ def picard_solve(
             f"contraction factor q={q:.6g} >= 1; increase omega or shrink the problem"
         )
     cache = _cache_for(spec, cache)
-    ts = _check_solver_grid(spec, grid)[1]
+    m, ts = _check_solver_grid(spec, grid)
     if base is None:
         base = _base(spec, grid, cache)
     elif np.shape(base) != (grid.count,):
         raise ValidationError("base must hold one value per grid node")
     y = SolutionTrace(grid, base)
-    weights = weight_ml(spec.alpha, omega, ts[ts >= 0.0], cache.ctrl)
+    # the solved nodes are those from index m on, node m at t = 0 exactly
+    weights = weight_ml(spec.alpha, omega, np.maximum(ts[m:], 0.0), cache.ctrl)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []
     deltas_sup: list[float] = []
     for iteration in range(1, max_iter + 1):
         y_next = apply_F(spec, y, cache, base)
         diff = y_next.values - y.values
-        delta = weighted_norm(ts, diff, weights)
+        delta = weighted_norm(diff[m:], weights)
         deltas.append(delta)
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError, SeriesConvergenceError, ValidationError
+from .errors import CancellationError, PoleError, SeriesConvergenceError, ValidationError
 
 __all__ = [
     "SeriesControl",
@@ -47,6 +47,8 @@ __all__ = [
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78
 _EXP_SNAP = 1e-12  # tolerance for "this float is really an integer"
+# largest relative error estimate of a delayed series sum that is returned
+CANCELLATION_LIMIT = 1e-8
 
 
 def _is_count(n) -> bool:
@@ -398,11 +400,15 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     to the row's leading term (the others have e >= e_0 + a): 0 if e > 0,
     the coefficient if e = 0, a signed infinity if e < 0.  The sum over rows
     stops after ``consecutive_small`` rows that are negligible at every point.
+    A sum whose terms cancel raises :class:`CancellationError` where
+    2^-52 * sum |term| / max(1, |sum|), over the terms of the regular points,
+    exceeds CANCELLATION_LIMIT.
     """
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
     ts = np.asarray(ts, dtype=float)
     t = ts.ravel()
     acc = np.zeros(t.size)
+    abs_acc = np.zeros(t.size)  # sum of |term| over the rows
     last_row = np.where(t < 0.0, -1.0, np.floor(t / h + _EXP_SNAP))
     quiet_rows = 0
     for k in range(int(last_row.max(initial=-1.0)) + 1):
@@ -424,17 +430,19 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
         row = np.full(at.size, knot)
         peak = np.full(at.size, abs(knot) if math.isfinite(knot) else 0.0)
         if regular.any():
+            idx = at[regular]
             logb = np.log(base[regular])
             top = int(np.argmax(logb))
             es, coefs, signs = _row_terms(
-                k, a, b, gamma, lam, mu, float(logb[top]), float(acc[at[regular][top]]), ctrl
+                k, a, b, gamma, lam, mu, float(logb[top]), float(acc[idx[top]]), ctrl
             )
-            logmat = coefs[:, None] + es[:, None] * logb
             with np.errstate(over="ignore"):
-                row[regular] = signs @ np.exp(logmat)
+                terms = np.exp(coefs[:, None] + es[:, None] * logb)
+                row[regular] = signs @ terms
+                abs_acc[idx] += terms.sum(axis=0)
             if not np.isfinite(row[regular]).all():
                 raise OverflowError(f"series row k={k} sum overflow")
-            peak[regular] = np.exp(logmat.max(axis=0))
+            peak[regular] = terms.max(axis=0)
         acc[at] += row
         s = np.abs(acc[at])
         if np.all(peak < np.maximum(ctrl.abs_tol * np.maximum(1.0, s), ctrl.rel_tol * s)):
@@ -443,6 +451,19 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
                 break
         else:
             quiet_rows = 0
+    # eps * sum |term| bounds the rounding error of the sum (Higham 2002,
+    # sec. 4.2), taken relative to max(1, |sum|), as the kernels with lam < 0
+    # cross zero; knot terms, single and exact where infinite, stay out.  As
+    # max(1, |sum|) >= 1, the largest sum |term| decides most calls alone.
+    if abs_acc.max(initial=0.0) * 2.0**-52 > CANCELLATION_LIMIT:
+        estimate = 2.0**-52 * abs_acc / np.maximum(1.0, np.abs(acc))
+        worst = int(np.argmax(estimate))
+        if estimate[worst] > CANCELLATION_LIMIT:
+            raise CancellationError(
+                f"series (h={h:g}, a={a:g}, b={b:g}, gamma={gamma:g}, lam={lam:g}, mu={mu:g}) at "
+                f"t={t[worst]:.6g} cancels: relative error estimate {estimate[worst]:.3g} "
+                f"exceeds {CANCELLATION_LIMIT:g}"
+            )
     return acc.reshape(ts.shape)
 
 

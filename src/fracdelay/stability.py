@@ -104,6 +104,6 @@ def perturbed_solve(
     perturbed[m + 1 :] += forced_at(spec, pert, ts[m + 1 :], cache)
     x, x_report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
     y, y_report = picard_solve(spec, grid, cache=cache, base=base, **options)
-    lhs = weighted_norm(ts, x.values - y.values, x_report["weights"])
+    lhs = weighted_norm((x.values - y.values)[m:], x_report["weights"])
     rhs_bound = pert.epsilon * uh_constant(spec, spec.rhs.lipschitz, x_report["omega"])
     return UhResult(x, y, lhs, rhs_bound, x_report, y_report)

@@ -808,6 +808,21 @@ def test_compare_non_contracting_oracle_exits_2(tmp_path, capsys):
     assert "oracle step 0.125" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_cancelling_kernel_exits_2(tmp_path, capsys, command):
+    # at lambda = -15 the kernel series cancels past t ~ 2 (compare's gap to
+    # the oracle was 3.84 when the sum was returned); the guard raises
+    prob = dict(SQUARE_PROBLEM, **{"lambda": -15.0, "l": 3})
+    cfg = write_config(
+        tmp_path,
+        "cancel.json",
+        {"problem": prob, "numerics": {"grid_divisor": 32}, "oracle": {"step": 2.0**-10}},
+    )
+    assert cli.main([command, "--config", cfg]) == 2
+    assert "cancels: relative error estimate" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # uh
 # ---------------------------------------------------------------------------
@@ -936,6 +951,23 @@ def test_cli_runs_without_importing_scipy(tmp_path):
     )
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = [sys.executable, "-c", _NO_SCIPY_RUN, uh, wright, str(tmp_path / "w.csv")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+_NO_POLYNOMIAL_IMPORT = """
+import sys
+import fracdelay, fracdelay.cli
+print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
+"""
+
+
+def test_import_loads_no_numpy_polynomial():
+    # numpy.polynomial (9 submodules, about 0.8 MB RSS) is not needed: the
+    # Gauss-Legendre rule is kept as constants
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = [sys.executable, "-c", _NO_POLYNOMIAL_IMPORT]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"

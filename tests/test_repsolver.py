@@ -641,10 +641,10 @@ def test_apply_F_ignores_input_when_rhs_zero(spec6):
 def test_weighted_norm_basics():
     ts = np.linspace(-1.0, 2.0, 25)
     weights = weight_ml(1.5, 2.0, ts[ts >= 0])
-    assert weighted_norm(ts, np.zeros(25), weights) == 0.0
+    assert weighted_norm(np.zeros(25)[ts >= 0], weights) == 0.0
     w = np.array([weight_ml(1.5, 2.0, max(t, 0.0)) for t in ts])
-    assert weighted_norm(ts, w, weights) == pytest.approx(1.0, rel=1e-12)
-    assert weighted_norm(ts, np.ones(25), weights) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_norm(w[ts >= 0], weights) == pytest.approx(1.0, rel=1e-12)
+    assert weighted_norm(np.ones(25)[ts >= 0], weights) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValidationError):
         weight_ml(1.5, 0.0, ts[ts >= 0])
 
@@ -652,7 +652,7 @@ def test_weighted_norm_basics():
 def test_weighted_norm_ignores_history_nodes():
     ts = np.array([-0.5, 0.5])
     vals = np.array([100.0, 1.0])
-    got = weighted_norm(ts, vals, weight_ml(1.5, 2.0, ts[ts >= 0]))
+    got = weighted_norm(vals[ts >= 0], weight_ml(1.5, 2.0, ts[ts >= 0]))
     assert got < 2.0  # the t=-0.5 spike does not count
 
 
@@ -661,7 +661,7 @@ def test_weighted_norm_rejects_mismatched_weights(shape):
     # four nodes t >= 0 need four weights, one each; (4, 1) would broadcast
     ts = np.linspace(-1.0, 1.0, 7)
     with pytest.raises(ValidationError, match="one value per node t >= 0"):
-        weighted_norm(ts, np.ones(7), np.ones(shape))
+        weighted_norm(np.ones(7)[ts >= 0], np.ones(shape))
 
 
 def test_contraction_factor_values(spec6):
@@ -733,8 +733,8 @@ def test_apply_F_is_a_contraction(small_sin_spec):
         yb = SolutionTrace(grid, base + rng.uniform(-0.5, 0.5, size=grid.count))
         fa = apply_F(spec, ya, cache=cache)
         fb = apply_F(spec, yb, cache=cache)
-        lhs = weighted_norm(ts, fa.values - fb.values, weights)
-        rhs = weighted_norm(ts, ya.values - yb.values, weights)
+        lhs = weighted_norm((fa.values - fb.values)[ts >= 0], weights)
+        rhs = weighted_norm((ya.values - yb.values)[ts >= 0], weights)
         assert lhs <= q * rhs + 1e-12
 
 
@@ -769,7 +769,7 @@ def test_picard_sin_spec_converges(small_sin_spec):
     again = apply_F(spec, trace)
     ts = grid.nodes()
     weights = weight_ml(spec.alpha, report["omega"], ts[ts >= 0])
-    drift = weighted_norm(ts, again.values - trace.values, weights)
+    drift = weighted_norm((again.values - trace.values)[ts >= 0], weights)
     assert drift <= 2e-8
 
 
@@ -945,6 +945,45 @@ def test_kernel_table_holds_the_rule_weights(spec6):
         assert np.max(np.abs(rows[d] - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_gauss_rule_constants_are_leggauss():
+    # the module keeps the 16-node rule as constants, so that it loads no
+    # numpy.polynomial; they are numpy's rule to the bit
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(16)
+    assert repsolver._GL_X.tobytes() == x.tobytes()
+    assert repsolver._GL_W.tobytes() == w.tobytes()
+
+
+def test_graded_cell_fold_integrates_polynomials_through_the_cell_nodes(spec6):
+    # row 0 of the rule weighs the source at the 16 cell nodes as the
+    # polynomial through them: for a source of degree <= 15 it gives the
+    # graded rule's own integral, which reads the source at 400 nodes
+    cache = KernelCache(spec6)
+    width = spec6.h / 8
+    _, ws = repsolver._rule(cache, np.zeros(1), np.array([width]))
+    kernel = cache.fetch_many("main", repsolver._ROOT_X * width)
+    for degree in (0, 1, 7, 15):
+        want = np.dot(repsolver._ROOT_W * kernel, (1.0 - repsolver._ROOT_X) ** degree)
+        got = np.dot(ws[0], (1.0 - repsolver._CELL_X) ** degree)
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 1.0, 1.4, 2.7, 3.0])
+def test_single_time_reads_its_source_at_16_nodes_per_cell(spec6, t):
+    # cells h/POINT_DIVISOR wide from s = t down to s = 0, the graded one
+    # included, each read at its 16 nodes
+    seen = []
+
+    def source(s):
+        seen.append(np.size(s))
+        return np.cos(2.0 * s)
+
+    forced_at(spec6, source, t)
+    cells = math.ceil(t * repsolver.POINT_DIVISOR / spec6.h)
+    assert seen == [16 * cells]
+
+
 _NO_FFT_PICARD_RUN = """
 import sys
 from fracdelay.fraccalc import ShiftedPolynomial
@@ -989,6 +1028,18 @@ def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
     assert np.array_equal(np.asarray(calls[0][2]), nodes[nodes >= 0.0])
     # the report carries them for callers that take norms in the same weight
     assert np.array_equal(report["weights"], original(*calls[0]))
+
+
+def test_solved_nodes_are_found_by_index():
+    # at h = 0.45 and step h/10 node m = 10, t = 0, rounds to -5.6e-17: the
+    # solved nodes, and so the weights, still start there
+    spec = make_spec(h=0.45, phi=ShiftedPolynomial(-0.45, (0.0, 0.0, 1.0)),
+                     rhs=RhsSpec(kappa=0.25, shape="sin"))
+    grid = solver_grid(spec, 10)
+    assert grid.nodes()[10] < 0.0
+    _, report = picard_solve(spec, grid)
+    assert len(report["weights"]) == grid.count - 10
+    assert report["weights"][0] == 1.0
 
 
 def test_picard_starts_from_the_base(small_sin_spec, monkeypatch):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fracdelay.errors import (
+    CancellationError,
     ConvergenceError,
     PoleError,
     SeriesConvergenceError,
@@ -718,12 +719,10 @@ def test_gen_many_positive_mu_lam():
 # terms reach 7e16 (lam = -15) and 1.5e20 (lam = -30) against values near
 # 1e-2.  Both routes of tests/refgen.py (the 80-digit double sum and a
 # Talbot inversion of each delay row) agree on these to 25 digits.  The
-# series returns 4736.06 and 1.70e7 with no error; a guard on the
-# cancellation must make each value right or raise, and then drop the marker.
+# series sum would be 4736.06 and 1.70e7; the cancellation guard raises.
 CANCELLING_CASES = [(-15.0, 4.5, 0.01317680405029023978), (-30.0, 3.0, 0.008055449929412088217)]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the series cancels silently")
 def test_gen_cancellation_is_right_or_flagged():
     wrong = []
     for lam, t, exact in CANCELLING_CASES:
@@ -734,6 +733,24 @@ def test_gen_cancellation_is_right_or_flagged():
         if value != pytest.approx(exact, rel=1e-9):
             wrong.append((lam, t, value))
     assert not wrong
+
+
+@pytest.mark.parametrize("lam, t, exact", CANCELLING_CASES)
+def test_cancelling_series_names_the_point_and_the_estimate(lam, t, exact):
+    with pytest.raises(CancellationError, match=rf"t={t:g} cancels: relative error estimate 0\.0"):
+        delayed_ml_gen_many(1.0, 1.2, 1.6, 1.6, lam, 0.3, [1.0, t])
+
+
+def test_cancellation_guard_passes_the_reference_kernels():
+    # the main (b = alpha) and companion (b = alpha - 1) kernels of the README
+    # problem up to l = 12 estimate at most 1.5e-12; the knot infinity of
+    # the companion at 0 and sign changes (lam < 0) raise nothing either
+    ts = np.linspace(0.0, 13.0, 1301)
+    assert np.all(np.isfinite(delayed_ml_gen_many(1.0, 1.2, 1.6, 1.6, -0.5, 0.3, ts)))
+    companion = delayed_ml_gen_many(1.0, 1.2, 0.6, 1.6, -0.5, 0.3, ts)
+    assert companion[0] == math.inf and np.all(np.isfinite(companion[1:]))
+    assert delayed_ml_gen(1.0, 1.2, 0.5, 0.2, -3.0, 0.3, 1.0) == math.inf
+    assert mittag_leffler(1.3, 0.7, -35.0) == pytest.approx(mittag_leffler(1.3, 0.7, -35.0, TIGHT))
 
 
 def test_ml_and_weight_arrays_match_scalar_calls():
