@@ -19,8 +19,15 @@ a solver grid the kernel offsets of a cell depend only on its lag behind
 the node, so the weights are tabulated once per step (KernelCache.table)
 and the integrals at all nodes are one Toeplitz product of the 16 weight
 columns with the source at the cell nodes (fraccalc._toeplitz).  The
-homogeneous term up to its part over [0, t], history included, is one sum
-of delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
+homogeneous term up to its part over [0, t], history included, is a sum of
+delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
+Pascal's rule C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the
+delay recursion
+
+    E_{a,b}(u) - lam E_{a,a+b}(u) = u^{b-1}/Gamma(b) + mu E_{a,b+alpha}(u-h),
+
+which turns each history monomial's pair of series into the monomial and
+one series at t, none for mu = 0 (_series_terms).
 """
 
 from __future__ import annotations
@@ -295,29 +302,54 @@ def _history_source(spec: ProblemSpec, s):
     )
 
 
-def _series_terms(spec: ProblemSpec) -> list[tuple[float, float]]:
-    """Nonzero (b, coef) of sum coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t+h).
+def _series_terms(spec: ProblemSpec) -> tuple[ShiftedPolynomial, list[tuple[float, float, float]]]:
+    """The homogeneous term up to its part over [0, t], as p(t) plus the sum of
+    coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t + shift): the polynomial p and
+    the nonzero (b, coef, shift), shift 0 or h.
 
     First integral_{-h}^{t} K1(t - s) g(s) ds: the term c_m (s+h)^m of phi
     gives g the powers (s+h)^{m-alpha} and (s+h)^{m-beta}; with
     I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu} it contributes
-    c_m m! [E_{a,m+1} - lam E_{a,a+m+1}], a = alpha - beta.  Then c1 and c2.
+    c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](t+h), a = alpha - beta.  Pascal's
+    rule C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the delay
+    recursion
+
+        E_{a,b}(u) - lam E_{a,a+b}(u) = u^{b-1}/Gamma(b) + mu E_{a,b+alpha}(u-h),
+
+    so the pair is c_m (t+h)^m, a term of p, plus c_m m! mu E_{a,m+1+alpha}(t),
+    0 for t <= 0 and absent for mu = 0.  Where 1/Gamma(m+1-alpha) = 0
+    (alpha = 2, m <= 1) D^alpha phi has no such power and only
+    -lam c_m m! E_{a,a+m+1}(t+h) is left.  Then c1 and c2, at t+h.
     """
-    a = spec.alpha - spec.beta
+    a, h = spec.alpha - spec.beta, spec.h
+    paired = [0.0] * len(spec.phi.coeffs)
     terms = []
     for m, c in enumerate(spec.phi.coeffs):
         if c == 0.0:
             continue
-        if recip_gamma(m + 1.0 - spec.alpha) != 0.0:
-            if m - spec.alpha <= -1.0:
-                raise ValidationError(
-                    f"history term c_{m} (t+h)^{m} makes D^alpha phi non-integrable at -h; "
-                    "the representation needs a history without it"
-                )
-            terms.append((m + 1.0, c * gamma_fn(m + 1.0)))
-        terms.append((a + m + 1.0, -spec.lam * c * gamma_fn(m + 1.0)))
-    terms += [(spec.alpha, spec.c1), (spec.alpha - 1.0, spec.c2)]
-    return [(b, coef) for b, coef in terms if coef != 0.0]
+        if recip_gamma(m + 1.0 - spec.alpha) == 0.0:
+            terms.append((a + m + 1.0, -spec.lam * c * gamma_fn(m + 1.0), h))
+            continue
+        if m - spec.alpha <= -1.0:
+            raise ValidationError(
+                f"history term c_{m} (t+h)^{m} makes D^alpha phi non-integrable at -h; "
+                "the representation needs a history without it"
+            )
+        paired[m] = c
+        terms.append((m + 1.0 + spec.alpha, spec.mu * c * gamma_fn(m + 1.0), 0.0))
+    terms += [(spec.alpha, spec.c1, h), (spec.alpha - 1.0, spec.c2, h)]
+    poly = ShiftedPolynomial(spec.phi.base, tuple(paired))
+    return poly, [(b, coef, shift) for b, coef, shift in terms if coef != 0.0]
+
+
+def _series_part(spec: ProblemSpec, ts: np.ndarray, ctrl: SeriesControl) -> np.ndarray:
+    """The terms of ``_series_terms`` summed at the times ``ts``."""
+    poly, terms = _series_terms(spec)
+    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
+    val = np.zeros(ts.shape) + poly(ts)
+    for b, coef, shift in terms:
+        val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, np.maximum(ts + shift, 0.0), ctrl)
+    return val
 
 
 def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
@@ -395,11 +427,7 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
     if not np.all((ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     cache = _cache_for(spec, cache)
-    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
-    u = np.maximum(ts + h, 0.0)
-    val = np.zeros(u.shape)
-    for b, coef in _series_terms(spec):
-        val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, u, cache.ctrl)
+    val = _series_part(spec, ts, cache.ctrl)
     val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache)
     return float(val) if val.ndim == 0 else val
 

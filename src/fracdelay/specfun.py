@@ -280,7 +280,10 @@ def g_function(
     G = sum_n sum_k C(n+k,k) lam^n mu^k t^{alpha n + (alpha-beta) k}
         / Gamma(alpha n + (alpha-beta) k + alpha).
 
-    Row k is the sum over n.
+    Row k is the sum over n.  A sum whose terms cancel raises
+    :class:`CancellationError` by the rule of ``_delayed_series``, with each
+    term's own rounding counted: term = exp(sum of parts), and the parts'
+    rounding, about 2^-52 * sum |part|, is a relative error of the term.
     """
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
     if not (1.0 < alpha <= 2.0 and 0.0 < beta < 1.0 and alpha - beta > 1.0):
@@ -293,39 +296,44 @@ def g_function(
     log_lam = math.log(abs(lam)) if lam != 0.0 else None
     log_mu = math.log(abs(mu)) if mu != 0.0 else None
     lgamma = math.lgamma
+    spread = 0.0  # sum of |term| (1 + sum |part|): the rounding error over 2^-52
 
     def row(k):
+        nonlocal spread
         k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
         for n in itertools.count():
             if n and log_lam is None:
                 return
             e = alpha * n + (alpha - beta) * k
-            logmag = (
-                (n * log_lam if n else 0.0)
-                + (k * log_mu if k else 0.0)
-                + lgamma(n + k + 1.0)
-                - lgamma(n + 1.0)
-                - lgamma(k + 1.0)
-                + e * log_t
-                - lgamma(e + alpha)
+            parts = (
+                n * log_lam if n else 0.0,
+                k * log_mu if k else 0.0,
+                lgamma(n + k + 1.0),
+                -lgamma(n + 1.0),
+                -lgamma(k + 1.0),
+                e * log_t,
+                -lgamma(e + alpha),
             )
+            logmag = sum(parts)
+            spread += math.exp(min(logmag, _LOG_MAX)) * (1.0 + sum(map(abs, parts)))
             yield (-k_sign if (lam < 0 and n % 2) else k_sign), logmag
 
     total = 0.0
     quiet_rows = 0
-    for k in range(ctrl.max_terms):
-        if k and log_mu is None:
+    for k in itertools.count():
+        if (k and log_mu is None) or quiet_rows >= ctrl.consecutive_small:
             break
+        if k >= ctrl.max_terms:
+            raise SeriesConvergenceError(f"g_function did not converge in {ctrl.max_terms} rows")
         total, row_peak = _sum_terms(row(k), ctrl, total, where=f"g_function row k={k}")
-        if row_peak < ctrl.threshold(total):
-            quiet_rows += 1
-            if quiet_rows >= ctrl.consecutive_small:
-                return total
-        else:
-            quiet_rows = 0
-    if log_mu is None:
-        return total
-    raise SeriesConvergenceError(f"g_function did not converge in {ctrl.max_terms} rows")
+        quiet_rows = quiet_rows + 1 if row_peak < ctrl.threshold(total) else 0
+    estimate = 2.0**-52 * spread / max(1.0, abs(total))
+    if estimate > CANCELLATION_LIMIT:
+        raise CancellationError(
+            f"g_function (alpha={alpha:g}, beta={beta:g}, lam={lam:g}, mu={mu:g}) at t={t:.6g} "
+            f"cancels: relative error estimate {estimate:.3g} exceeds {CANCELLATION_LIMIT:g}"
+        )
+    return total
 
 
 def delayed_ml_piecewise(

@@ -4,7 +4,8 @@
 
 prints, for each delayed-series constant frozen in test_specfun.py (the
 GEN_NEGATIVE_ROWS table, the references of test_gen_many_positive_mu_lam
-and the two cancelling cases of test_gen_cancellation_is_right_or_flagged),
+and the two cancelling cases of test_gen_cancellation_is_right_or_flagged)
+and each series part of the homogeneous term frozen in test_repsolver.py,
 the digits on which two independent mpmath evaluations of
 E^{h,gamma}_{a,b}(lam, mu; t) agree:
 
@@ -16,7 +17,16 @@ E^{h,gamma}_{a,b}(lam, mu; t) agree:
 
 Every parameter is converted with mp.mpf(x), its exact binary value, before
 any arithmetic: a gamma argument such as 1.2*n + 1.6 formed in double
-precision gives wrong values in the cancelling cases.  A row whose base
+precision gives wrong values in the cancelling cases.  The series part of
+the homogeneous term (repsolver._series_terms) is summed as the
+representation states it, before the delay recursion pairs its terms:
+
+    sum_m c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](t+h)
+        + c1 E_{a,alpha}(t+h) + c2 E_{a,alpha-1}(t+h),
+
+a = alpha - beta, gamma = alpha, with E_{a,m+1} left out where
+1/Gamma(m+1-alpha) = 0.  The pairs cancel for lam << 0, which the working
+precision absorbs.  A row whose base
 t - kh is 0 (a knot) is the limit of its n = 0 term, 0, 1 or a signed
 infinity, on both routes, and a row with t - kh < 0 is 0.
 
@@ -39,6 +49,14 @@ CASES = [
     ("positive_mu_lam", (0.7, 1.1, 1.5, 1.3, 0.8, 0.6), [0.05, 0.7, 1.0, 1.4, 2.3, 3.9]),
     ("cancellation lam=-15", (1.0, 1.2, 1.6, 1.6, -15.0, 0.3), [4.5]),
     ("cancellation lam=-30", (1.0, 1.2, 1.6, 1.6, -30.0, 0.3), [3.0]),
+]
+
+# (label, (alpha, beta, lam, mu, h, phi coefficients about -h, c1, c2), times t)
+HISTORY_CASES = [
+    ("every series term", (1.6, 0.4, -0.5, 0.3, 1.0, (0.0, 0.7, 1.0, -0.2), 0.4, -0.3),
+     [-0.55, 0.0, 0.3, 1.37, 2.0, 3.0]),
+    ("history lam=-5", (1.6, 0.4, -5.0, 0.3, 1.0, (0.0, 0.0, 1.0), 0.0, 0.0), [1.5, 3.0]),
+    ("history lam=-10", (1.6, 0.4, -10.0, 0.3, 1.0, (0.0, 0.0, 1.0), 0.0, 0.0), [1.5, 3.0]),
 ]
 
 
@@ -84,6 +102,24 @@ def delayed_series(params, t, row, dps):
         return +total
 
 
+def series_part(problem, t, row, dps):
+    """The series part of the homogeneous term at t, from its unpaired terms."""
+    alpha, beta, lam, mu, h, coeffs, c1, c2 = problem
+    with mp.workdps(dps):
+        alpha, beta, lam, h, c1, c2 = map(mp.mpf, (alpha, beta, lam, h, c1, c2))
+        a, u = alpha - beta, mp.mpf(t) + h
+
+        def E(b):
+            return delayed_series((h, a, b, alpha, lam, mu), u, row, dps)
+
+        total = c1 * E(alpha) + c2 * E(alpha - 1)
+        for m, c in enumerate(map(mp.mpf, coeffs)):
+            if c:
+                pair = -lam * E(a + m + 1) + (E(m + 1) if mp.rgamma(m + 1 - alpha) else 0)
+                total += c * mp.factorial(m) * pair
+        return +total
+
+
 def shared_digits(x, y):
     """x to the significant digits it shares with y (at most SHOWN_DIGITS)."""
     if x == y:
@@ -98,6 +134,12 @@ def main():
         for t in times:
             by_sum = delayed_series(params, t, _row_sum, SUM_DPS)
             by_laplace = delayed_series(params, t, _row_laplace, LAPLACE_DPS)
+            print(f"  t = {t!r:>6}:  {shared_digits(by_sum, by_laplace)}")
+    for label, problem, times in HISTORY_CASES:
+        print(f"series part, {label}  (alpha, beta, lam, mu, h, phi, c1, c2) = {problem}")
+        for t in times:
+            by_sum = series_part(problem, t, _row_sum, SUM_DPS)
+            by_laplace = series_part(problem, t, _row_laplace, LAPLACE_DPS)
             print(f"  t = {t!r:>6}:  {shared_digits(by_sum, by_laplace)}")
 
 

@@ -432,11 +432,9 @@ def test_homogeneous_reproduces_history(spec6):
     # on [-h, 0] the representation must return phi itself
     cache = KernelCache(spec6)
     ts = np.linspace(-0.95, 0.0, 32)
-    worst = max(
-        abs(homogeneous_at(spec6, float(t), cache=cache) - spec6.phi(float(t)))
-        for t in ts
-    )
-    assert worst <= 1e-7
+    for t in ts:
+        phi = spec6.phi(float(t))
+        assert abs(homogeneous_at(spec6, float(t), cache=cache) - phi) <= 1e-15 * max(1.0, abs(phi))
 
 
 def test_homogeneous_domain(spec6):
@@ -453,32 +451,71 @@ def test_homogeneous_uses_data_terms():
     assert homogeneous_at(spec, t) == pytest.approx(expected, rel=1e-12)
 
 
+# The series part of the homogeneous term (all of it but the integral over
+# [0, t]) at t, by both routes of tests/refgen.py, which sum it as the
+# representation states it, each history monomial as the cancelling pair
+# c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](t+h); the two agree to 25 digits.
+EVERY_TERM_SERIES = {
+    -0.55: 0.5501925197642768178019010,
+    0.0: 1.770142794108957216521882,
+    0.3: 2.478185837749787004995268,
+    1.37: 5.217099089618441484186421,
+    2.0: 6.734311433405699334626036,
+    3.0: 8.262257582350445409532217,
+}
+
+
 def test_homogeneous_with_every_series_term_frozen():
     # every series term nonzero: history terms, c1, c2 and lam != 0 together
     spec = make_spec(phi=ShiftedPolynomial(-1.0, (0.0, 0.7, 1.0, -0.2)), c1=0.4, c2=-0.3)
     frozen = {
         -0.55: 0.5501925197642769,
-        0.0: 1.7701427941089576,
-        0.3: 2.2265614743954765,
-        1.37: 2.8832116877163565,
-        2.0: 3.1307971607870306,
-        3.0: 3.518745689190176,
+        0.0: 1.7701427941089571,
+        0.3: 2.226561474395476,
+        1.37: 2.883211687716353,
+        2.0: 3.1307971607870244,
+        3.0: 3.5187456891901654,
     }
     for t, value in frozen.items():
         assert homogeneous_at(spec, t) == pytest.approx(value, rel=1e-15, abs=0.0)
+        # measured: at most 2.2e-16 from exact (1.1e-15 before the delay recursion)
+        series = repsolver._series_part(spec, np.asarray(t), SeriesControl())
+        assert series == pytest.approx(EVERY_TERM_SERIES[t], rel=1e-15, abs=0.0)
     values = linear_solution(spec, solver_grid(spec, divisor=16)).values
     expected = [
         0.0,
         0.575,
         1.5,
-        2.4167645273664635,
-        2.720691902461397,
-        2.936052049694179,
-        3.1307971607874276,
-        3.322235013894307,
-        3.518745689190368,
+        2.4167645273664617,
+        2.720691902461395,
+        2.9360520496941773,
+        3.1307971607874205,
+        3.322235013894301,
+        3.518745689190361,
     ]
     assert values[::8] == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
+# The history series of the README problem, phi = (t+1)^2 and c1 = c2 = 0,
+# at lam << 0, where its pair 2 [E_{a,3} - lam E_{a,a+3}](u) cancels: by both
+# routes of tests/refgen.py, at u = t + h = 2.5 and 4; (lam, t, value,
+# tolerance).  Measured relative errors of the delay recursion's sum beside
+# each tolerance; summed as the pair they were 6.6e-14, 7.1e-11, 2.6e-10
+# and a CancellationError.
+HISTORY_SERIES = [
+    (-5.0, 1.5, 6.326089331947190029975265, 1e-15),  # measured 1.4e-16
+    (-5.0, 3.0, 16.49147108998676234207555, 1e-13),  # measured 9.1e-15
+    (-10.0, 1.5, 6.295018294550246987005610, 1e-15),  # measured 1.4e-16
+    (-10.0, 3.0, 16.26333323271048830330329, 1e-10),  # measured 8.1e-12
+]
+
+
+@pytest.mark.parametrize("lam, t, exact, rel", HISTORY_SERIES)
+def test_history_series_at_negative_lam(lam, t, exact, rel):
+    spec = make_spec(lam=lam)
+    assert repsolver._series_part(spec, np.asarray(t), SeriesControl()) == pytest.approx(
+        exact, rel=rel, abs=0.0
+    )
 
 
 def test_forced_trivial(spec6):
