@@ -134,13 +134,24 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
     to the block's solution, is at most ``newton_tol`` * max(1, max |y|),
     and raises NewtonError after ``newton_max`` rounds.  Where even B = 1
     does not contract (2 L_f > |w_0|), or |w_0| <= 1e-12, NewtonError
-    names the step.
+    names the step.  A step so fine that the grid has more nodes than
+    numpy can index, or that tau^-alpha overflows, is a validation error.
     """
     m = cfg.delay_offset(spec.h)
     grid = solver_grid(spec, m)
     tau, n = grid.step, grid.count
 
-    ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
+    try:
+        ca, cb = tau ** (-spec.alpha), tau ** (-spec.beta)
+    except OverflowError:
+        ca = math.inf
+    # checked before any array is made: numpy could not index the nodes, or
+    # the scheme's coefficient is past the float range
+    if n > np.iinfo(np.intp).max or ca == math.inf:
+        raise ValidationError(
+            f"oracle step {cfg.step:.6g} is too fine for this problem: its grid has more "
+            "nodes than numpy can index, or tau^-alpha is past the float range"
+        )
     w = ca * gl_weights(spec.alpha, n) - spec.lam * cb * gl_weights(spec.beta, n)
     w[m] -= spec.mu
     c = float(w[0])

@@ -17,8 +17,12 @@ the cell at s = t, where the main kernel goes like (t - s)^{alpha-1}, graded
 geometrically into ROOT_LEVELS + 1 pieces and folded onto its 16 nodes.  On
 a solver grid the kernel offsets of a cell depend only on its lag behind
 the node, so the weights are tabulated once per step (KernelCache.table)
-and the integrals at all nodes are one Toeplitz product of the 16 weight
-columns with the source at the cell nodes (fraccalc._toeplitz).  The
+and the integrals at all nodes are one lower-triangular Toeplitz product of
+the 16 weight columns with the source at the cell nodes.  Up to 2L cells
+(L = fraccalc._GL_BLOCK) the cache also holds that product's operator,
+cut into lag blocks of LAG_BLOCK rows (KernelCache.blocks), so a sweep is
+one matrix product per block; above, it is fraccalc._toeplitz's blocked
+FFT product of the table.  The
 homogeneous term up to its part over [0, t], history included, is a sum of
 delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
 Pascal's rule C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the
@@ -38,9 +42,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IterationLimitError, NonContractionError, ValidationError
+from .errors import ConvergenceError, IterationLimitError, NonContractionError, ValidationError
 from .fraccalc import (
-    ShiftedPolynomial, UniformGrid, _delay_steps, _toeplitz, _whole_steps, rl_derivative_poly
+    _GL_BLOCK, ShiftedPolynomial, UniformGrid, _delay_steps, _toeplitz, _whole_steps,
+    rl_derivative_poly,
 )
 from .specfun import (
     DEFAULT_CONTROL,
@@ -76,6 +81,10 @@ __all__ = [
 ROOT_LEVELS = 24
 # cells per delay h for a single time t, which brings no grid of its own
 POINT_DIVISOR = 8
+# rows per lag block of the held sweep operator (KernelCache.blocks); the
+# blocks hold LAG_BLOCK times the table's memory, and 16 rows, which would
+# halve it, sweep slower from h/8 to h/128
+LAG_BLOCK = 32
 
 # the positive nodes of the 16-node Gauss-Legendre rule on [-1, 1] and their
 # weights; mirrored, they are numpy's leggauss(16) to the bit
@@ -249,15 +258,20 @@ class KernelCache:
     ``fetch_many`` evaluates a kernel at given offsets through the vectorized
     series.  ``table`` keeps, per cell width, the main kernel's weights in
     the product rule, so every sweep of a solve, and every solve that
-    shares the cache on the same grid step, reads one table.  The cache
-    carries the series control of every series a solve sums.  The solvers
-    accept a cache for any problem with the same kernels and reject any other.
+    shares the cache on the same grid step, reads one table.  ``blocks``
+    keeps, beside a table, the lag blocks of its Toeplitz operator for
+    sweeps of up to 2L cells, LAG_BLOCK (32) times the table's memory.  The
+    cache carries the series control of every series a solve sums.  The
+    solvers accept a cache for any problem with the same kernels and reject
+    any other.
     """
 
     def __init__(self, spec: ProblemSpec, ctrl: SeriesControl | None = None) -> None:
         self.spec = spec
         self.ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
         self._tables: dict[float, np.ndarray] = {}
+        # step -> (cells, their lag blocks)
+        self._blocks: dict[float, tuple[int, np.ndarray]] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
         args = _kernel_params(self.spec, kernel)
@@ -268,7 +282,51 @@ class KernelCache:
         rows = self._tables.get(step)
         if rows is None or len(rows) < cells:
             self._tables[step] = rows = _rule(self, np.arange(cells) * step, np.full(cells, step))[1]
+            self._blocks.pop(step, None)
         return rows[:cells]
+
+    def blocks(self, step: float, cells: int) -> np.ndarray:
+        """The first ceil(cells / LAG_BLOCK) lag blocks (``_lag_blocks``) of the
+        table on lags 0..cells-1 of width ``step``.  They are built once, for
+        the most cells asked since the table was built, and blocks built for
+        N cells serve any sweep of up to N as their prefix."""
+        held = self._blocks.get(step)
+        if held is None or held[0] < cells:
+            self._blocks[step] = held = (cells, _lag_blocks(self.table(step, cells)))
+        return held[1][: -(-cells // LAG_BLOCK)]
+
+
+def _lag_blocks(rows: np.ndarray) -> np.ndarray:
+    """The lower-triangular block-Toeplitz operator of a table of n rows and
+    c columns, as ceil(n/B) blocks of shape (B, cB), B = LAG_BLOCK: block d
+    has entry [i, c*j + q] = rows[d*B + i - j, q], 0 where that lag is
+    negative or past the table.  It maps sample block k - d (B rows of c
+    columns, read row by row) to its share of output block k."""
+    n, cols = rows.shape
+    count = -(-n // LAG_BLOCK)
+    # lag r sits at row LAG_BLOCK + r, behind one block of zeros
+    padded = np.zeros((LAG_BLOCK * (count + 1), cols))
+    padded[LAG_BLOCK : LAG_BLOCK + n] = rows
+    i = np.arange(LAG_BLOCK)
+    lags = LAG_BLOCK * np.arange(1, count + 1)[:, None, None] + (i[:, None] - i)
+    return padded[lags].reshape(count, LAG_BLOCK, LAG_BLOCK * cols)
+
+
+def _block_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """First n values of sum_q (rows[:, q] convolved with x[:, q]) for the
+    samples x of shape (n, c), through the held blocks of the rows
+    (``_lag_blocks``, at least ceil(n/B) of them): with x zero-padded to
+    whole blocks and sample block k one row of X, output block k is
+    sum_d X[k - d] @ blocks[d].T, one matrix product per lag d."""
+    n, cols = x.shape
+    count = -(-n // LAG_BLOCK)
+    X = np.zeros((count * LAG_BLOCK, cols))
+    X[:n] = x
+    X = X.reshape(count, LAG_BLOCK * cols)
+    Y = X @ blocks[0].T
+    for d in range(1, count):
+        Y[d:] += X[: count - d] @ blocks[d].T
+    return Y.ravel()[:n]
 
 
 def _rule(cache: KernelCache, lo: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -377,9 +435,15 @@ def _cell_nodes(step: float, cells: int) -> np.ndarray:
 
 
 def _sweep(cache: KernelCache, source: Callable, step: float, first: int, n: int) -> np.ndarray:
-    """integral_0^t K1(t - s) source(s) ds at the nodes t = k*step, k = first .. first+n-1."""
+    """integral_0^t K1(t - s) source(s) ds at the nodes t = k*step, k = first .. first+n-1:
+    the held lag blocks' product up to 2L cells, L = ``_GL_BLOCK``, with no
+    transform; above, ``_toeplitz``'s blocked FFT product of the table."""
     cells = first + n - 1
-    total = _toeplitz(cache.table(step, cells), _sample(source, _cell_nodes(step, cells)))
+    nodes = _cell_nodes(step, cells)
+    if cells > 2 * _GL_BLOCK:
+        total = _toeplitz(cache.table(step, cells), _sample(source, nodes))
+    else:
+        total = _block_product(cache.blocks(step, cells), _sample(source, nodes))
     return step * total[first - 1 :]
 
 
@@ -551,7 +615,8 @@ def picard_solve(
     one record, a report {tol, iterations, final_delta, q, omega, deltas,
     deltas_sup, weights}, the last being the weights at the solved nodes
     (index m = h/step on), evaluated once per solve, that every delta passes
-    to ``weighted_norm``.
+    to ``weighted_norm``.  An iterate that turns non-finite (a delta of inf
+    or NaN) stops the solve with a ConvergenceError naming the iteration.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError("picard_solve requires a finite tol > 0")
@@ -581,6 +646,10 @@ def picard_solve(
         y_next = apply_F(spec, y, cache, base)
         diff = y_next.values - y.values
         delta = weighted_norm(diff[m:], weights)
+        if not math.isfinite(delta):
+            raise ConvergenceError(
+                f"picard_solve iterate turned non-finite at iteration {iteration} (delta {delta})"
+            )
         deltas.append(delta)
         deltas_sup.append(float(np.max(np.abs(diff))))
         y = y_next

@@ -8,7 +8,8 @@ in its own Python process, on the README reference problem (alpha 1.6,
 beta 0.4, lambda -0.5, mu 0.3, h 1, l 3, phi (t+1)^2, f 0.25 sin y) and its
 linear twin (f = 0):
 
-* ``picard_solve`` values, ``deltas`` and ``weights`` at h/8, h/128, h/2048;
+* ``picard_solve`` values, ``deltas`` and ``weights`` at h/8, h/128, h/1024
+  (3072 cells, the largest sweeps below the FFT switch) and h/2048;
 * ``linear_solution`` values on the same grids;
 * ``gl_solve`` values and ``residual_check`` residuals at steps 2^-9, 2^-13;
 * ``perturbed_solve`` ``lhs`` and ``rhs_bound`` at h/4 (epsilon 1e-2 cos 2t);
@@ -92,7 +93,7 @@ def uh():
 
 
 jobs = {}
-for d in (8, 128, 2048):
+for d in (8, 128, 1024, 2048):
     jobs[f"picard h/{d}"] = lambda d=d: picard(d)
     jobs[f"linear_solution h/{d}"] = lambda d=d: linear_solution(linear, solver_grid(linear, d)).values
 for k in (9, 13):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracdelay import cli
+from fracdelay import cli, repsolver
 from fracdelay.fraccalc import ShiftedPolynomial
 from fracdelay.repsolver import ProblemSpec, RhsSpec, kernel_companion, kernel_main
 from fracdelay.specfun import (
@@ -795,6 +795,19 @@ def test_compare_oracle_step_flag_overrides(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("step", ["1e-30", "1e-150", "1e-300"])
+def test_compare_oracle_step_too_fine_exits_1(tmp_path, capsys, step):
+    # grids of 2e30 .. 2e300 nodes: rejected, naming the step, before any
+    # array is made (as a flag or as the config's oracle.step)
+    cfg = {"problem": ZERO_PROBLEM, "numerics": {"grid_divisor": 8}}
+    path = write_config(tmp_path, "cmp.json", cfg)
+    assert cli.main(["compare", "--config", path, "--oracle-step", step]) == 1
+    assert f"oracle step {float(step):.6g} is too fine" in capsys.readouterr().err
+    path = write_config(tmp_path, "cmp.json", dict(cfg, oracle={"step": float(step)}))
+    assert cli.main(["compare", "--config", path]) == 1
+    assert f"oracle step {float(step):.6g} is too fine" in capsys.readouterr().err
+
+
 def test_compare_non_contracting_oracle_exits_2(tmp_path, capsys):
     # kappa = 15 at the oracle step h/8: 2 L_f = 30 exceeds the implicit
     # coefficient 29, a convergence error of the oracle
@@ -894,6 +907,21 @@ def test_uh_honours_max_iter(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_uh_stops_on_a_non_finite_iterate(tmp_path, capsys, monkeypatch):
+    # epsilon 1e308 overflows the perturbed base to inf, so the first
+    # iterate is NaN; the solve stops there instead of sweeping on to
+    # max_iter.  The overflow warnings are the input's, not under test
+    prob = dict(SQUARE_PROBLEM, l=3, rhs={"poly": [], "kappa": 0.25, "shape": "sin"})
+    cfg = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
+    sweeps = []
+    apply_F = repsolver.apply_F
+    monkeypatch.setattr(repsolver, "apply_F", lambda *a, **k: sweeps.append(1) or apply_F(*a, **k))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["uh", "--config", cfg, "--epsilon", "1e308"]) == 2
+    assert "non-finite at iteration 1" in capsys.readouterr().err
+    assert len(sweeps) <= 2
+
+
 def test_uh_honours_omega(tmp_path, capsys):
     # the README problem on h/4 with an explicit weight: the bound is taken
     # in that weight's norm
@@ -923,7 +951,7 @@ def test_uh_honours_omega(tmp_path, capsys):
 _NO_SCIPY_RUN = """
 import sys
 import fracdelay
-from fracdelay import cli
+from fracdelay import cli, repsolver
 uh, wright, out = sys.argv[1:]
 assert cli.main(["uh", "--config", uh, "--epsilon", "0.01", "--gshape", "cos2t"]) == 0
 assert cli.main(["eval", "--config", wright, "--output", out]) == 0

@@ -373,6 +373,23 @@ def test_gl_solve_singular_linearization():
         gl_solve(spec, OracleConfig(step=tau))
 
 
+@pytest.mark.parametrize(
+    "h, step",
+    [
+        # more nodes than numpy can index: 4e30, 4e150, 4e300
+        (1.0, 1e-30),
+        (1.0, 1e-150),
+        (1.0, 1e-300),
+        # 33 nodes, but tau^-alpha = 1.25e-201^-1.6 is past the float range
+        (1e-200, 1.25e-201),
+    ],
+)
+def test_gl_solve_rejects_a_step_too_fine_before_any_array(h, step):
+    spec = make_spec(h=h, l=3, phi=ShiftedPolynomial(-h, (0.0, 0.0, 1.0)))
+    with pytest.raises(ValidationError, match=f"oracle step {step:.6g} is too fine"):
+        gl_solve(spec, OracleConfig(step=step))
+
+
 _NO_FFT_RUN = """
 import dataclasses
 import sys

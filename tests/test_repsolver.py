@@ -17,6 +17,7 @@ import pytest
 
 from fracdelay import repsolver
 from fracdelay.errors import (
+    ConvergenceError,
     IterationLimitError,
     NonContractionError,
     ValidationError,
@@ -838,6 +839,22 @@ def test_picard_iteration_limit(small_sin_spec):
         picard_solve(small_sin_spec, grid, tol=1e-12, max_iter=1)
 
 
+def test_picard_stops_at_a_non_finite_iterate(monkeypatch):
+    # epsilon 1e308 overflows the perturbed base, so the first iterate is
+    # NaN: a convergence error naming that iteration, not max_iter sweeps
+    # on NaN.  The overflow warnings are the input's, not under test
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    sweeps = []
+    original = repsolver.apply_F
+    monkeypatch.setattr(repsolver, "apply_F", lambda *a, **k: sweeps.append(1) or original(*a, **k))
+    pert = PerturbationSpec(1e308, lambda s: np.cos(2.0 * s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ConvergenceError, match="non-finite at iteration 1") as caught:
+            perturbed_solve(spec, pert, solver_grid(spec, divisor=8))
+    assert not isinstance(caught.value, IterationLimitError)
+    assert len(sweeps) <= 2
+
+
 @pytest.mark.parametrize(
     "options",
     [
@@ -971,6 +988,69 @@ def test_sweep_above_2L_cells_matches_direct_convolutions(spec6):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 24, 31, 32, 33, 2 * repsolver._GL_BLOCK])
+def test_held_lag_blocks_match_column_convolutions(n):
+    # the held product sums in another order than one convolution per column
+    rng = np.random.default_rng(n)
+    rows, x = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
+    got = repsolver._block_product(repsolver._lag_blocks(rows), x)
+    want = sum(np.convolve(x[:, q], rows[:, q])[:n] for q in range(16))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_lag_blocks_built_once_per_step(monkeypatch):
+    builds = []
+    original = repsolver._lag_blocks
+    monkeypatch.setattr(repsolver, "_lag_blocks", lambda rows: builds.append(len(rows)) or original(rows))
+    sweeps = []
+    sweep = repsolver._sweep
+    monkeypatch.setattr(repsolver, "_sweep", lambda *a: sweeps.append(a[-1]) or sweep(*a))
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    grid = solver_grid(spec, divisor=8)
+    # the history sweep and 7 Picard sweeps, all of 24 cells
+    assert picard_solve(spec, grid)[1]["iterations"] == 7
+    assert sweeps == [24] * 8
+    assert builds == [24]
+    # the base, the perturbation and both solves of perturbed_solve on one cache
+    builds.clear()
+    sweeps.clear()
+    perturbed_solve(spec, PerturbationSpec(1e-2, lambda s: np.cos(2.0 * s)), grid, KernelCache(spec))
+    assert len(sweeps) >= 2 + 2 * 7 and set(sweeps) == {24}
+    assert builds == [24]
+
+
+def test_blocks_held_for_more_cells_serve_a_shorter_sweep_bitwise(spec6):
+    # a 12-cell sweep reads the first block of blocks built for 24 cells,
+    # whose lags 12..23 meet only zero padding; the fresh cache holds the
+    # same 24-cell table (a table built for 12 cells is a separate series
+    # sum and may differ in the last bit) but blocks built for 12 cells
+    step = spec6.h / 8
+    source = lambda s: np.cos(2.0 * s)  # noqa: E731
+    held = KernelCache(spec6)
+    repsolver._sweep(held, source, step, 1, 24)
+    fresh = KernelCache(spec6)
+    assert np.array_equal(fresh.table(step, 24), held.table(step, 24))
+    got = repsolver._sweep(held, source, step, 1, 12)
+    want = repsolver._sweep(fresh, source, step, 1, 12)
+    assert np.count_nonzero(held.blocks(step, 12)[0] != fresh.blocks(step, 12)[0]) > 0
+    assert got.tobytes() == want.tobytes()
+
+
+def test_blocks_held_for_fewer_cells_are_rebuilt_for_a_longer_sweep(spec6):
+    # with the table already 40 rows long, blocks built for 24 cells (one
+    # block, lags 24..31 zero) must not serve a 30-cell sweep, though it
+    # needs no more blocks
+    step = spec6.h / 8
+    source = lambda s: np.cos(2.0 * s)  # noqa: E731
+    held, fresh = KernelCache(spec6), KernelCache(spec6)
+    held.table(step, 40)
+    fresh.table(step, 40)
+    repsolver._sweep(held, source, step, 1, 24)
+    assert repsolver._sweep(held, source, step, 1, 30).tobytes() == (
+        repsolver._sweep(fresh, source, step, 1, 30).tobytes()
+    )
+
+
 def test_kernel_table_holds_the_rule_weights(spec6):
     # the table is the rule's weights, _CELL_W times the kernel at the cell
     # nodes; a separate fetch_many sets its own term counts, so not bitwise
@@ -1029,20 +1109,29 @@ spec = ProblemSpec(
     alpha=1.6, beta=0.4, lam=-0.5, mu=0.3, h=1.0, l=3,
     phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)), rhs=RhsSpec(kappa=0.25, shape="sin"),
 )
-assert picard_solve(spec, solver_grid(spec, 8))[1]["iterations"] == 7
+assert picard_solve(spec, solver_grid(spec, int(sys.argv[1])))[1]["iterations"] == 7
 print(sorted(m for m in sys.modules if m == "numpy.fft" or m.startswith("numpy.fft.")))
 """
+
+
+def _picard_solve_fft_modules(divisor):
+    env = dict(os.environ, PYTHONPATH=str(Path(repsolver.__file__).parents[1]))
+    argv = [sys.executable, "-c", _NO_FFT_PICARD_RUN, str(divisor)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 def test_h8_picard_solve_loads_no_fft():
     # the sweeps of the h/8 Picard solve (the picard-ref benchmark workload)
     # have 24 cells, far below the 2L rows where the Toeplitz product turns
     # to FFTs, so the solve must not pay numpy.fft's first-use RSS
-    env = dict(os.environ, PYTHONPATH=str(Path(repsolver.__file__).parents[1]))
-    argv = [sys.executable, "-c", _NO_FFT_PICARD_RUN]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert _picard_solve_fft_modules(8) == "[]"
+
+
+def test_h1024_picard_solve_loads_no_fft():
+    # 3072 cells, below 2L: every sweep is the held lag-block product
+    assert _picard_solve_fft_modules(1024) == "[]"
 
 
 def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
