@@ -18,6 +18,7 @@ Exit codes: 0 success or a closed stdout, 1 validation/usage error, 2 convergenc
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -393,10 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s parser, built once per process, on the first call
+    of ``main``: building it costs about a sixth of an in-process ``uh``."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):
             raise

@@ -14,8 +14,15 @@ in log space,
 
 so that binomials and gamma factors never overflow individually.  The
 delayed series and E_{a,b} (its row k = 0 at t = 1) are summed by one
-array-valued engine, ``_delayed_series``.  Double series stop over rows
-by the threshold test applied to each row's largest term.
+array-valued engine, ``_delayed_series``.  It sums the distinct points in
+ascending order, which the solvers' points already are, so delay row k,
+the points t >= kh, is a suffix found by one search, and its largest base
+is its last point; the result does not depend on the order of the points.
+Its three calls in a cold h/8 reference Picard solve (the kernel table,
+the history series, the weights) take a little under half of the solve's
+1.0-1.1 ms, and the h/128 table about 1.5-2.0 ms of its 3.5-3.7 ms.
+Double series stop over rows by the threshold test applied to each row's
+largest term.
 """
 
 from __future__ import annotations
@@ -402,21 +409,31 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     """E^{h,gamma}_{a,b}(lam, mu; t) at every t of ``ts`` (any shape).
 
     The one summation of the package's ML-type series; parameters are
-    checked by the callers.  Delay row k (points with t >= kh, within
-    _EXP_SNAP) is filled at all its points at once with the terms that
-    ``_row_terms`` sets.  At a knot, base t - kh <= 0, the 0^e rule applies
-    to the row's leading term (the others have e >= e_0 + a): 0 if e > 0,
-    the coefficient if e = 0, a signed infinity if e < 0.  The sum over rows
-    stops after ``consecutive_small`` rows that are negligible at every point.
-    A sum whose terms cancel raises :class:`CancellationError` where
-    2^-52 * sum |term| / max(1, |sum|), over the terms of the regular points,
-    exceeds CANCELLATION_LIMIT.
+    checked by the callers.  The distinct points are summed once each, in
+    ascending order (a sort, skipped when they already are, as on every
+    solve), so the result does not depend on their order, and delay row k,
+    the points with t >= kh (within _EXP_SNAP), is a suffix, found by one
+    search.  The row is filled at all its points at once with the terms
+    that ``_row_terms`` sets at its last point, where its base t - kh is
+    largest.  At a knot, base t - kh <= 0 (the suffix's leading points),
+    the 0^e rule applies to the row's leading term (the others have
+    e >= e_0 + a): 0 if e > 0, the coefficient if e = 0, a signed infinity
+    if e < 0.  The sum over rows stops after ``consecutive_small`` rows
+    that are negligible at every point.  A sum whose terms cancel raises
+    :class:`CancellationError` where 2^-52 * sum |term| / max(1, |sum|),
+    over the terms of the regular points, exceeds CANCELLATION_LIMIT.
     """
     ctrl = DEFAULT_CONTROL if ctrl is None else ctrl
     ts = np.asarray(ts, dtype=float)
     t = ts.ravel()
+    inverse = None
+    if not (t[1:] > t[:-1]).all():
+        # equal points get one column, as the row product (BLAS) may round
+        # a column by its position
+        t, inverse = np.unique(t, return_inverse=True)
     acc = np.zeros(t.size)
     abs_acc = np.zeros(t.size)  # sum of |term| over the rows
+    # nondecreasing, as t is
     last_row = np.where(t < 0.0, -1.0, np.floor(t / h + _EXP_SNAP))
     quiet_rows = 0
     for k in range(int(last_row.max(initial=-1.0)) + 1):
@@ -424,9 +441,9 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
             break
         if k >= ctrl.max_terms:
             raise SeriesConvergenceError(f"delay sum did not converge in {ctrl.max_terms} rows")
-        at = np.nonzero(last_row >= k)[0]
-        base = t[at] - k * h
-        regular = base > 0.0
+        lo = int(np.searchsorted(last_row, k))
+        base = t[lo:] - k * h
+        knots = int(np.searchsorted(base, 0.0, side="right"))
         e0 = k * gamma + b - 1.0
         sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
         if e0 < -_EXP_SNAP:
@@ -435,24 +452,22 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
             knot = sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
         else:
             knot = 0.0
-        row = np.full(at.size, knot)
-        peak = np.full(at.size, abs(knot) if math.isfinite(knot) else 0.0)
-        if regular.any():
-            idx = at[regular]
-            logb = np.log(base[regular])
-            top = int(np.argmax(logb))
+        peak = np.full(base.size, abs(knot) if math.isfinite(knot) else 0.0)
+        acc[lo : lo + knots] += knot
+        if knots < base.size:
+            logb = np.log(base[knots:])
             es, coefs, signs = _row_terms(
-                k, a, b, gamma, lam, mu, float(logb[top]), float(acc[idx[top]]), ctrl
+                k, a, b, gamma, lam, mu, float(logb[-1]), float(acc[-1]), ctrl
             )
             with np.errstate(over="ignore"):
                 terms = np.exp(coefs[:, None] + es[:, None] * logb)
-                row[regular] = signs @ terms
-                abs_acc[idx] += terms.sum(axis=0)
-            if not np.isfinite(row[regular]).all():
+                row = signs @ terms
+                abs_acc[lo + knots :] += terms.sum(axis=0)
+            if not np.isfinite(row).all():
                 raise OverflowError(f"series row k={k} sum overflow")
-            peak[regular] = terms.max(axis=0)
-        acc[at] += row
-        s = np.abs(acc[at])
+            peak[knots:] = terms.max(axis=0)
+            acc[lo + knots :] += row
+        s = np.abs(acc[lo:])
         if np.all(peak < np.maximum(ctrl.abs_tol * np.maximum(1.0, s), ctrl.rel_tol * s)):
             quiet_rows += 1
             if quiet_rows >= ctrl.consecutive_small:
@@ -472,6 +487,8 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
                 f"t={t[worst]:.6g} cancels: relative error estimate {estimate[worst]:.3g} "
                 f"exceeds {CANCELLATION_LIMIT:g}"
             )
+    if inverse is not None:
+        acc = acc[inverse]
     return acc.reshape(ts.shape)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import NonContractionError, ValidationError
+from .errors import ConvergenceError, NonContractionError, ValidationError
 from .fraccalc import UniformGrid
 from .repsolver import (
     KernelCache,
@@ -23,7 +23,6 @@ from .repsolver import (
     SolutionTrace,
     _base,
     _cache_for,
-    _check_solver_grid,
     _growth,
     contraction_factor,
     forced_at,
@@ -90,18 +89,28 @@ def perturbed_solve(
     series control they use, and the base of F (``picard_solve``): the
     exact base b is computed once, and the perturbed solve's is b plus the
     kernel integral of the perturbation, so the perturbation is sampled
-    once.  lhs reuses the weights of the perturbed solve.  The result
+    once.  A perturbed base that overflows (epsilon near the float range)
+    raises a ConvergenceError before either solve.  lhs reuses the weights
+    of the perturbed solve.  The result
     carries both solves' reports (``x_report``, ``y_report``), which hold
     the ``tol``, ``omega`` and ``iterations`` each was solved with.
     """
     cache = _cache_for(spec, cache)
-    m, ts = _check_solver_grid(spec, grid)
+    held = cache.grid(spec, grid)
+    m = held.m
     # pert checks sup |g_shape| <= 1 at the grid nodes here, and wherever
     # forced_at samples it
-    pert(ts[m:])
+    pert(held.nodes[m:])
     base = _base(spec, grid, cache)
     perturbed = base.copy()
-    perturbed[m + 1 :] += forced_at(spec, pert, ts[m + 1 :], cache)
+    # an epsilon near the float range overflows the integral; that is
+    # reported below, before any Picard sweep
+    with np.errstate(over="ignore", invalid="ignore"):
+        perturbed[m + 1 :] += forced_at(spec, pert, held.positive, cache)
+    if not np.isfinite(perturbed).all():
+        raise ConvergenceError(
+            f"perturbed_solve: the perturbed base is not finite for epsilon={pert.epsilon:g}"
+        )
     x, x_report = picard_solve(spec, grid, cache=cache, base=perturbed, **options)
     y, y_report = picard_solve(spec, grid, cache=cache, base=base, **options)
     lhs = weighted_norm((x.values - y.values)[m:], x_report["weights"])

@@ -14,6 +14,9 @@ linear twin (f = 0):
 * ``gl_solve`` values and ``residual_check`` residuals at steps 2^-9, 2^-13;
 * ``perturbed_solve`` ``lhs`` and ``rhs_bound`` at h/4 (epsilon 1e-2 cos 2t);
 * single-time ``forced_at`` (source cos 2s) and ``homogeneous_at``;
+* ``delayed_ml_gen_many`` of the main kernel at the offsets of the h/128
+  kernel table, and ``weight_ml`` at the h/128 nodes t >= 0, each at its
+  points in a shuffled order, so a series that sorts is compared too;
 * the ``solve``, ``compare`` and ``uh`` CLI output on both configs.
 
 For each output it prints ``bitwise`` when the two agree bit for bit, and
@@ -66,8 +69,8 @@ import pickle, sys
 import numpy as np
 from fracdelay import (
     KernelCache, OracleConfig, PerturbationSpec, ProblemSpec, RhsSpec, ShiftedPolynomial,
-    forced_at, gl_solve, homogeneous_at, linear_solution, perturbed_solve, picard_solve,
-    residual_check, solver_grid,
+    choose_omega, delayed_ml_gen_many, forced_at, gl_solve, homogeneous_at, linear_solution,
+    perturbed_solve, picard_solve, repsolver, residual_check, solver_grid, weight_ml,
 )
 
 sin = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
@@ -87,6 +90,18 @@ def oracle(step):
     return trace.values, residual_check(trace, sin).residuals
 
 
+def shuffled(points):
+    return points[np.random.default_rng(2019).permutation(points.size)]
+
+
+# the offsets at which the kernel table of cells h/divisor wide, for a
+# sweep over [0, T], evaluates the main kernel
+def table_offsets(divisor):
+    step = 1.0 / divisor
+    cells = (np.arange(1, 3 * divisor)[:, None] + repsolver._CELL_X) * step
+    return np.concatenate((repsolver._ROOT_X * step, cells.ravel()))
+
+
 def uh():
     result = perturbed_solve(sin, PerturbationSpec(1e-2, cos2), solver_grid(sin, 4))
     return result.lhs, result.rhs_bound
@@ -101,6 +116,12 @@ for k in (9, 13):
 jobs["perturbed_solve lhs, rhs_bound h/4"] = uh
 jobs["forced_at single times"] = lambda: [forced_at(sin, cos2, t, KernelCache(sin)) for t in times]
 jobs["homogeneous_at single times"] = lambda: [homogeneous_at(sin, t, KernelCache(sin)) for t in times]
+jobs["delayed_ml_gen_many h/128 table offsets, shuffled"] = lambda: delayed_ml_gen_many(
+    1.0, 1.2, 1.6, 1.6, -0.5, 0.3, shuffled(table_offsets(128))
+)
+jobs["weight_ml h/128 nodes, shuffled"] = lambda: weight_ml(
+    1.6, choose_omega(sin, 0.25), shuffled(np.arange(3 * 128 + 1) / 128)
+)
 
 out = {}
 for name, job in jobs.items():

@@ -213,6 +213,22 @@ def test_usage_errors():
     assert cli.main(["solve", "--config", "x.json", "--frumious"]) == 1
 
 
+def test_main_reuses_its_parser(tmp_path, capsys):
+    # the parser is built on the first main call of a process and reused:
+    # a second call prints the same bytes and a bad argv is still exit 1
+    prob = dict(SQUARE_PROBLEM, l=3, rhs={"poly": [], "kappa": 0.25, "shape": "sin"})
+    cfg = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 4}})
+    argv = ["uh", "--config", cfg, "--epsilon", "0.01", "--gshape", "cos2t"]
+    cli._parser.cache_clear()
+    outputs = []
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+        assert cli.main(["uh", "--config", cfg]) == 1
+    assert outputs[0] == outputs[1] != ""
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
@@ -908,18 +924,18 @@ def test_uh_honours_max_iter(tmp_path, capsys):
 
 
 def test_uh_stops_on_a_non_finite_iterate(tmp_path, capsys, monkeypatch):
-    # epsilon 1e308 overflows the perturbed base to inf, so the first
-    # iterate is NaN; the solve stops there instead of sweeping on to
-    # max_iter.  The overflow warnings are the input's, not under test
+    # epsilon 1e308 overflows the perturbed base to inf: perturbed_solve
+    # names epsilon before any Picard sweep, and no numpy warning escapes
+    # (the suite turns them into errors)
     prob = dict(SQUARE_PROBLEM, l=3, rhs={"poly": [], "kappa": 0.25, "shape": "sin"})
     cfg = write_config(tmp_path, "uh.json", {"problem": prob, "numerics": {"grid_divisor": 8}})
     sweeps = []
     apply_F = repsolver.apply_F
     monkeypatch.setattr(repsolver, "apply_F", lambda *a, **k: sweeps.append(1) or apply_F(*a, **k))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cli.main(["uh", "--config", cfg, "--epsilon", "1e308"]) == 2
-    assert "non-finite at iteration 1" in capsys.readouterr().err
-    assert len(sweeps) <= 2
+    assert cli.main(["uh", "--config", cfg, "--epsilon", "1e308"]) == 2
+    err = capsys.readouterr().err
+    assert "perturbed base is not finite for epsilon=1e+308" in err
+    assert sweeps == []
 
 
 def test_uh_honours_omega(tmp_path, capsys):

@@ -840,19 +840,19 @@ def test_picard_iteration_limit(small_sin_spec):
 
 
 def test_picard_stops_at_a_non_finite_iterate(monkeypatch):
-    # epsilon 1e308 overflows the perturbed base, so the first iterate is
-    # NaN: a convergence error naming that iteration, not max_iter sweeps
-    # on NaN.  The overflow warnings are the input's, not under test
+    # a base that is NaN at the last node makes the first iterate NaN: a
+    # convergence error naming that iteration, not max_iter sweeps on NaN
     spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    grid = solver_grid(spec, divisor=8)
     sweeps = []
     original = repsolver.apply_F
     monkeypatch.setattr(repsolver, "apply_F", lambda *a, **k: sweeps.append(1) or original(*a, **k))
-    pert = PerturbationSpec(1e308, lambda s: np.cos(2.0 * s))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ConvergenceError, match="non-finite at iteration 1") as caught:
-            perturbed_solve(spec, pert, solver_grid(spec, divisor=8))
+    base = np.zeros(grid.count)
+    base[-1] = math.nan
+    with pytest.raises(ConvergenceError, match="non-finite at iteration 1") as caught:
+        picard_solve(spec, grid, base=base)
     assert not isinstance(caught.value, IterationLimitError)
-    assert len(sweeps) <= 2
+    assert sweeps == [1]
 
 
 @pytest.mark.parametrize(
@@ -1049,6 +1049,71 @@ def test_blocks_held_for_fewer_cells_are_rebuilt_for_a_longer_sweep(spec6):
     assert repsolver._sweep(held, source, step, 1, 30).tobytes() == (
         repsolver._sweep(fresh, source, step, 1, 30).tobytes()
     )
+
+
+def test_grid_checked_and_sweep_detected_once_per_cache_and_grid(monkeypatch):
+    # the cache holds a grid's facts: one check and one detection serve the
+    # 8 sweeps of an h/8 solve, and both solves of perturbed_solve
+    checks, detections = [], []
+    check, detect = repsolver._check_solver_grid, repsolver._sweep_step
+    monkeypatch.setattr(repsolver, "_check_solver_grid", lambda *a: checks.append(1) or check(*a))
+    monkeypatch.setattr(repsolver, "_sweep_step", lambda *a: detections.append(1) or detect(*a))
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    grid = solver_grid(spec, divisor=8)
+    assert picard_solve(spec, grid)[1]["iterations"] == 7
+    assert checks == detections == [1]
+    checks.clear()
+    detections.clear()
+    perturbed_solve(spec, PerturbationSpec(1e-2, lambda s: np.cos(2.0 * s)), grid, KernelCache(spec))
+    assert checks == detections == [1]
+
+
+@pytest.mark.parametrize("divisor", [8, 128])
+def test_sweep_over_a_copy_of_held_nodes_matches_the_held_route_bitwise(spec6, divisor, monkeypatch):
+    # a copy is not the cache's array, so its sweep is detected again, to
+    # the same sweep and the same bits
+    cache = KernelCache(spec6)
+    held = cache.grid(spec6, solver_grid(spec6, divisor))
+    detections = []
+    detect = repsolver._sweep_step
+    monkeypatch.setattr(repsolver, "_sweep_step", lambda *a: detections.append(1) or detect(*a))
+    source = lambda s: np.cos(2.0 * s)  # noqa: E731
+    got = convolve_kernel(spec6, source, held.positive, cache)
+    assert detections == []
+    want = convolve_kernel(spec6, source, held.positive.copy(), cache)
+    assert detections == [1]
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cache_shared_with_another_horizon_still_checks_the_grid():
+    # the held facts of an l = 3 grid do not let it pass for an l = 2 problem
+    # on the same cache, nor its held nodes pass forced_at's range check
+    spec2, spec3 = make_spec(l=2), make_spec(l=3)
+    cache = KernelCache(spec2)
+    grid3 = solver_grid(spec3, divisor=8)
+    linear_solution(spec3, grid3, cache)
+    with pytest.raises(ValidationError, match="end at T"):
+        linear_solution(spec2, grid3, cache)
+    with pytest.raises(ValidationError, match="forced_at requires"):
+        forced_at(spec2, np.cos, cache.grid(spec3, grid3).positive, cache)
+
+
+def test_source_writing_into_its_argument_raises(spec6):
+    # the held cell nodes are read-only: a source that scribbles on them
+    # fails at once instead of shifting every later sweep's nodes
+    nodes = solver_grid(spec6, divisor=8).nodes()
+    pos = nodes[nodes > 0.0]
+    cache = KernelCache(spec6)
+
+    def scribble(s):
+        s *= 2.0
+        return np.cos(s)
+
+    with pytest.raises(ValueError, match="read-only"):
+        forced_at(spec6, scribble, pos, cache)
+    source = lambda s: np.cos(2.0 * s)  # noqa: E731
+    want = forced_at(spec6, source, pos, KernelCache(spec6))
+    assert forced_at(spec6, source, pos, cache).tobytes() == want.tobytes()
 
 
 def test_kernel_table_holds_the_rule_weights(spec6):

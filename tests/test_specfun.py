@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracdelay.errors import (
     CancellationError,
@@ -809,3 +811,28 @@ def test_gen_many_empty_and_shapes():
     grid = np.array([[0.5, 1.5], [2.5, 3.5]])
     out2 = delayed_ml_gen_many(1.0, 1.2, 1.6, 1.6, 0.1, 0.1, grid)
     assert out2.shape == (2, 2)
+
+
+# points of the README problem's kernels (h = 1): the knots t = kh, times
+# before 0 and times up to past the third delay
+_SERIES_POINTS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.floats(min_value=-1.5, max_value=-1e-3),
+    st.floats(min_value=1e-6, max_value=3.5),
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    b=st.sampled_from([0.6, 1.0, 1.6]),
+    ts=st.lists(_SERIES_POINTS, min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_series_ignores_point_order(b, ts, data):
+    # b = 0.6, 1 and 1.6 give the knot at 0 an infinite, the unit and a zero
+    # leading term; equal points, which the lists repeat, get equal bits too
+    ts = np.array(ts)
+    perm = np.array(data.draw(st.permutations(range(ts.size))))
+    want = delayed_ml_gen_many(1.0, 1.2, b, 1.6, -0.5, 0.3, ts)[perm]
+    got = delayed_ml_gen_many(1.0, 1.2, b, 1.6, -0.5, 0.3, ts[perm])
+    assert got.tobytes() == want.tobytes()
