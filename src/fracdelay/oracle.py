@@ -175,14 +175,12 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
 
     kappa, shape = spec.rhs.kappa, spec.rhs.shape_of
     tol, rounds = cfg.newton_tol, cfg.newton_max
+    # the nodes t_start + i*tau of phi here, and of p per L-block below
     y = np.empty(n)
-    y[: m + 1] = spec.phi(grid.nodes()[: m + 1])
-    # p(t_i) of f = p(t) + kappa*shape(y); a zero-stride view when p is constant
-    p = np.broadcast_to(spec.rhs.poly_part(grid.nodes()), (n,))
+    y[: m + 1] = spec.phi(grid.t_start + tau * np.arange(m + 1))
     blocks = -(-n // _GL_BLOCK)
     head = _CHORD_BLOCK
-    # the window spectra of lags 1 .. blocks-1, lag 1 without w_0 .. w_head;
-    # taken once the node arrays above are freed, so their peaks do not add
+    # the window spectra of lags 1 .. blocks-1, lag 1 without w_0 .. w_head
     windows = []
     if blocks > 2:
         lag1 = w[: 2 * _GL_BLOCK, None].copy()
@@ -199,8 +197,11 @@ def gl_solve(spec: ProblemSpec, cfg: OracleConfig) -> SolutionTrace:
         stop = min(start + _GL_BLOCK, n)
         near = start if b >= 2 else 0
         if stop > m + 1:
-            # p less the far part and the head: the known side but for the near part
-            known = p[start:stop]
+            # p(t_i) of f = p(t) + kappa*shape(y), less the far part and the
+            # head: the known side but for the near part; a zero-stride view
+            # when p is constant
+            t_block = grid.t_start + tau * np.arange(start, stop)
+            known = np.broadcast_to(spec.rhs.poly_part(t_block), (stop - start,))
             if b >= 2:
                 known = known - _lag_sum(spectra, windows)[: stop - start]
                 # the previous L-block's last D nodes at lags 1..D, for nodes start..start+D-1

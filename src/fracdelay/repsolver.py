@@ -279,8 +279,10 @@ class KernelCache:
     ``_check_solver_grid`` and ``_sweep_step`` derive: m, the rule's nodes,
     the positive ones and their sweep.  A grid is thus checked once per
     cache, and a sweep over its held positive nodes skips the detection
-    (``convolve_kernel``).  Held nodes are read-only, so a source that
-    writes into its argument raises instead of altering a later sweep.
+    (``convolve_kernel``) and, for a problem of the grid's horizon, the
+    range checks of ``forced_at`` and ``homogeneous_at``.  Held nodes are
+    read-only, so a source that writes into its argument raises instead of
+    altering a later sweep.
     The cache carries the series control of every series a solve sums.
     The solvers accept a cache for any problem with the same kernels and
     reject any other.
@@ -342,12 +344,12 @@ class KernelCache:
             self._grids[key] = held = _HeldGrid(m, nodes, positive, _sweep_step(spec, positive))
         return held
 
-    def held_sweep(self, ts: np.ndarray) -> tuple[float, int] | None:
-        """The sweep of ``ts`` when it is the positive-node array of a held
-        grid, else None."""
-        for held in self._grids.values():
-            if held.positive is ts:
-                return held.sweep
+    def held_positive(self, ts: np.ndarray, l: int | None = None) -> _HeldGrid | None:
+        """The held grid whose positive-node array is ``ts`` itself, held
+        for horizon ``l`` when one is given, else None."""
+        for (_, held_l), held in self._grids.items():
+            if held.positive is ts and l in (None, held_l):
+                return held
         return None
 
 
@@ -403,6 +405,8 @@ def _cache_for(spec: ProblemSpec, cache: KernelCache | None) -> KernelCache:
     Problems that differ only in phi, c1, c2 or rhs share one."""
     if cache is None:
         return KernelCache(spec)
+    if cache.spec is spec:
+        return cache
     if _kernel_params(cache.spec, "main") != _kernel_params(spec, "main"):
         raise ValidationError("kernel cache was built for other kernel parameters")
     return cache
@@ -511,9 +515,9 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
     """
     cache = _cache_for(spec, cache)
     ts = np.asarray(t, dtype=float)
-    held = cache.held_sweep(ts)
-    if held is not None:
-        return _sweep(cache, source, *held, ts.size)
+    held = cache.held_positive(ts)
+    if held is not None and held.sweep is not None:
+        return _sweep(cache, source, *held.sweep, ts.size)
     if not np.all(np.isfinite(ts)):
         raise ValidationError("convolve_kernel requires finite t")
     out = np.zeros(ts.shape)
@@ -544,9 +548,12 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
     ``convolve_kernel`` for the arrays that are swept together).
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
-        raise ValidationError("homogeneous_at requires t in [-h, T]")
     cache = _cache_for(spec, cache)
+    # the positive nodes of a grid held for this horizon lie in (0, T]
+    if cache.held_positive(ts, spec.l) is None and not np.all(
+        (ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))
+    ):
+        raise ValidationError("homogeneous_at requires t in [-h, T]")
     val = _series_part(spec, ts, cache.ctrl)
     val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache)
     return float(val) if val.ndim == 0 else val
@@ -559,7 +566,10 @@ def forced_at(spec: ProblemSpec, forcing: Callable, t, cache: KernelCache | None
     result) or an array of times, as for ``homogeneous_at``.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= -1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))):
+    cache = _cache_for(spec, cache)
+    if cache.held_positive(ts, spec.l) is None and not np.all(
+        (ts >= -1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))
+    ):
         raise ValidationError("forced_at requires t in [0, T]")
     return convolve_kernel(spec, forcing, ts, cache)
 

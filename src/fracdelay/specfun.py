@@ -16,13 +16,15 @@ so that binomials and gamma factors never overflow individually.  The
 delayed series and E_{a,b} (its row k = 0 at t = 1) are summed by one
 array-valued engine, ``_delayed_series``.  It sums the distinct points in
 ascending order, which the solvers' points already are, so delay row k,
-the points t >= kh, is a suffix found by one search, and its largest base
-is its last point; the result does not depend on the order of the points.
-Its three calls in a cold h/8 reference Picard solve (the kernel table,
-the history series, the weights) take a little under half of the solve's
-1.0-1.1 ms, and the h/128 table about 1.5-2.0 ms of its 3.5-3.7 ms.
-Double series stop over rows by the threshold test applied to each row's
-largest term.
+the points t >= kh, is a suffix, and its largest base is its last point;
+the result does not depend on the order of the points.  A row is one
+scalar loop that makes its terms and stop-tests each (``_row_terms``),
+then about 15 numpy calls over its points.  The engine's three calls in
+a cold h/8 reference Picard solve (the kernel table, the history series,
+the weights) take 0.30-0.36 ms of the solve's 0.66-0.79 ms, and 0.80-0.84
+ms of its 2.6-3.0 ms at h/128 (the best of 40 and 15 solves in each of
+eight processes, 2-vCPU guest).  Double series stop over rows by the
+threshold test applied to each row's largest term.
 """
 
 from __future__ import annotations
@@ -378,31 +380,65 @@ def delayed_ml_piecewise(
 def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
     """Exponents e, log-coefficients and signs of the terms of delay row k.
 
-    The term count is the stop rule of :func:`_sum_terms` run at base
-    exp(log_base), where the row's terms are largest, on the signed partial
-    sum ``partial`` that the earlier rows left there.  Term n is
-    sign * exp(coef + e * log(base)).
+    Term n is sign * exp(coef + e * log(base)).  The term count is the stop
+    rule of :func:`_sum_terms`, with its errors, run at base exp(log_base),
+    where the row's terms are largest, on the signed partial sum
+    ``partial`` that the earlier rows left there.  One loop makes each term
+    and tests it, with no generator or ``threshold`` call per term, as the
+    rows are the engine's hot path.
     """
-    lgamma = math.lgamma
+    lgamma, exp, isfinite = math.lgamma, math.exp, math.isfinite
     log_lam = math.log(abs(lam)) if lam != 0.0 else 0.0
     k_log = (k * math.log(abs(mu)) if k else 0.0) - lgamma(k + 1.0)
     k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
+    flip = lam < 0
+    abs_tol, rel_tol, needed = ctrl.abs_tol, ctrl.rel_tol, ctrl.consecutive_small
     es, coefs, signs = [], [], []
-
-    def terms():
-        for n in itertools.count():
-            e = k * gamma + n * a + b - 1.0
-            coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
-            sign = -k_sign if (lam < 0 and n % 2) else k_sign
-            es.append(e)
-            coefs.append(coef)
-            signs.append(sign)
-            yield sign, coef + e * log_base
-            if lam == 0.0:
-                return
-
-    _sum_terms(terms(), ctrl, partial, where=f"series row k={k}")
+    quiet = 0
+    last = math.inf
+    for n in range(ctrl.max_terms):
+        e = k * gamma + n * a + b - 1.0
+        coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
+        sign = -k_sign if (flip and n % 2) else k_sign
+        es.append(e)
+        coefs.append(coef)
+        signs.append(sign)
+        logmag = coef + e * log_base
+        if logmag > _LOG_MAX:
+            raise OverflowError(f"series row k={k} term overflow at term {n}")
+        mag = exp(logmag)
+        partial += sign * mag
+        if not isfinite(partial):
+            raise OverflowError(f"series row k={k} sum overflow")
+        s = abs(partial)
+        # mag < ctrl.threshold(partial), without its calls
+        if mag <= last and (mag < rel_tol * s or mag < (abs_tol * s if s > 1.0 else abs_tol)):
+            quiet += 1
+            if quiet >= needed:
+                break
+        else:
+            quiet = 0
+        last = mag
+        if lam == 0.0:
+            break
+    else:
+        raise SeriesConvergenceError(f"series row k={k} did not converge in {ctrl.max_terms} terms")
     return np.array(es), np.array(coefs), np.array(signs)
+
+
+def _row_bounds(t, last_row, h, rows):
+    """(lo, end) of each delay row k < rows of the ascending points ``t``:
+    row k holds the points t[lo:], and its knots, t <= kh, are t[lo:end].
+    The rows are searched in chunks, 16 and then twice the last, so a sum
+    that stops long before its last row does not search them all."""
+    first, size = 0, 16
+    while first < rows:
+        ks = np.arange(first, min(rows, first + size))
+        starts = np.searchsorted(last_row, ks)
+        ends = np.maximum(starts, np.searchsorted(t, ks * h, side="right"))
+        yield from zip(starts.tolist(), ends.tolist())
+        first += size
+        size *= 2
 
 
 def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
@@ -412,14 +448,16 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     checked by the callers.  The distinct points are summed once each, in
     ascending order (a sort, skipped when they already are, as on every
     solve), so the result does not depend on their order, and delay row k,
-    the points with t >= kh (within _EXP_SNAP), is a suffix, found by one
-    search.  The row is filled at all its points at once with the terms
-    that ``_row_terms`` sets at its last point, where its base t - kh is
-    largest.  At a knot, base t - kh <= 0 (the suffix's leading points),
-    the 0^e rule applies to the row's leading term (the others have
-    e >= e_0 + a): 0 if e > 0, the coefficient if e = 0, a signed infinity
-    if e < 0.  The sum over rows stops after ``consecutive_small`` rows
-    that are negligible at every point.  A sum whose terms cancel raises
+    the points with t >= kh (within _EXP_SNAP), is a suffix; two searches
+    give the rows' first points and knot ends (``_row_bounds``).  The row is
+    filled at all its points at once with the terms that ``_row_terms``
+    sets at its last point, where its base t - kh is largest.  At a knot,
+    base t - kh <= 0 (the suffix's leading points), the 0^e rule applies to
+    the row's leading term (the others have e >= e_0 + a): 0 if e > 0, the
+    coefficient if e = 0, a signed infinity if e < 0.  The sum over rows
+    stops after ``consecutive_small`` rows that are negligible at every
+    point; a row after which too few rows are left for that skips the
+    test.  A sum whose terms cancel raises
     :class:`CancellationError` where 2^-52 * sum |term| / max(1, |sum|),
     over the terms of the regular points, exceeds CANCELLATION_LIMIT.
     """
@@ -435,40 +473,47 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     abs_acc = np.zeros(t.size)  # sum of |term| over the rows
     # nondecreasing, as t is
     last_row = np.where(t < 0.0, -1.0, np.floor(t / h + _EXP_SNAP))
+    # rows past max_terms are never reached: row max_terms raises
+    rows = min(int(last_row.max(initial=-1.0)) + 1, 1 if mu == 0.0 else ctrl.max_terms + 1)
     quiet_rows = 0
-    for k in range(int(last_row.max(initial=-1.0)) + 1):
-        if k and mu == 0.0:
-            break
+    for k, (lo, end) in enumerate(_row_bounds(t, last_row, h, rows)):
         if k >= ctrl.max_terms:
             raise SeriesConvergenceError(f"delay sum did not converge in {ctrl.max_terms} rows")
-        lo = int(np.searchsorted(last_row, k))
-        base = t[lo:] - k * h
-        knots = int(np.searchsorted(base, 0.0, side="right"))
-        e0 = k * gamma + b - 1.0
-        sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
-        if e0 < -_EXP_SNAP:
-            knot = sign0 * math.inf
-        elif e0 <= _EXP_SNAP:
-            knot = sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
-        else:
-            knot = 0.0
-        peak = np.full(base.size, abs(knot) if math.isfinite(knot) else 0.0)
-        acc[lo : lo + knots] += knot
-        if knots < base.size:
-            logb = np.log(base[knots:])
+        if end > lo:
+            e0 = k * gamma + b - 1.0
+            sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
+            if e0 < -_EXP_SNAP:
+                knot = sign0 * math.inf
+            elif e0 <= _EXP_SNAP:
+                knot = sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
+            else:
+                knot = 0.0
+            acc[lo:end] += knot
+        if end < t.size:
+            logb = np.log(t[end:] - k * h)
             es, coefs, signs = _row_terms(
                 k, a, b, gamma, lam, mu, float(logb[-1]), float(acc[-1]), ctrl
             )
+            terms = es[:, None] * logb
+            terms += coefs[:, None]
             with np.errstate(over="ignore"):
-                terms = np.exp(coefs[:, None] + es[:, None] * logb)
+                np.exp(terms, out=terms)
                 row = signs @ terms
-                abs_acc[lo + knots :] += terms.sum(axis=0)
+                abs_acc[end:] += terms.sum(axis=0)
             if not np.isfinite(row).all():
                 raise OverflowError(f"series row k={k} sum overflow")
-            peak[knots:] = terms.max(axis=0)
-            acc[lo + knots :] += row
+            acc[end:] += row
+        if quiet_rows + rows - 1 - k < ctrl.consecutive_small:
+            # too few rows are left for the quiet ones to stop the sum early
+            continue
+        # negligible: below the threshold at every point, the knots by the
+        # knot value, the other points by the row's largest term there
         s = np.abs(acc[lo:])
-        if np.all(peak < np.maximum(ctrl.abs_tol * np.maximum(1.0, s), ctrl.rel_tol * s)):
+        limit = np.maximum(ctrl.abs_tol * np.maximum(1.0, s), ctrl.rel_tol * s)
+        knot_peak = abs(knot) if end > lo and math.isfinite(knot) else 0.0
+        if (knot_peak < limit[: end - lo]).all() and (
+            end == t.size or (terms.max(axis=0) < limit[end - lo :]).all()
+        ):
             quiet_rows += 1
             if quiet_rows >= ctrl.consecutive_small:
                 break

@@ -11,17 +11,21 @@ linear twin (f = 0):
 * ``picard_solve`` values, ``deltas`` and ``weights`` at h/8, h/128, h/1024
   (3072 cells, the largest sweeps below the FFT switch) and h/2048;
 * ``linear_solution`` values on the same grids;
-* ``gl_solve`` values and ``residual_check`` residuals at steps 2^-9, 2^-13;
+* ``gl_solve`` values and ``residual_check`` residuals at steps 2^-9, 2^-13,
+  and at 2^-11 with the rhs polynomial 0.1 - 0.2 t added;
 * ``perturbed_solve`` ``lhs`` and ``rhs_bound`` at h/4 (epsilon 1e-2 cos 2t);
 * single-time ``forced_at`` (source cos 2s) and ``homogeneous_at``;
 * ``delayed_ml_gen_many`` of the main kernel at the offsets of the h/128
   kernel table, and ``weight_ml`` at the h/128 nodes t >= 0, each at its
   points in a shuffled order, so a series that sorts is compared too;
+* the scalar special functions at a few points each: ``mittag_leffler``
+  (z of both signs, one raising cancellation), ``delayed_ml_gen`` (knots,
+  t < 0, mu < 0 and mu = 0), ``g_function`` and ``wright_series``;
 * the ``solve``, ``compare`` and ``uh`` CLI output on both configs.
 
 For each output it prints ``bitwise`` when the two agree bit for bit, and
 otherwise the largest |a - b| / max(1, |b|), b the value at REV (for CLI
-text, over the numbers in it).  The exit status is 0 when every output is
+and scalar text, over the numbers in it).  The exit status is 0 when every output is
 bitwise.  pytest does not collect this script, and it imports no mpmath.
 """
 
@@ -69,13 +73,17 @@ import pickle, sys
 import numpy as np
 from fracdelay import (
     KernelCache, OracleConfig, PerturbationSpec, ProblemSpec, RhsSpec, ShiftedPolynomial,
-    choose_omega, delayed_ml_gen_many, forced_at, gl_solve, homogeneous_at, linear_solution,
-    perturbed_solve, picard_solve, repsolver, residual_check, solver_grid, weight_ml,
+    choose_omega, delayed_ml_gen, delayed_ml_gen_many, forced_at, g_function, gl_solve,
+    homogeneous_at, linear_solution, mittag_leffler, perturbed_solve, picard_solve, repsolver,
+    residual_check, solver_grid, weight_ml, wright_series,
 )
+from fracdelay.specfun import WrightSpec
 
 sin = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
                   rhs=RhsSpec(kappa=0.25, shape="sin"))
 linear = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)))
+forced = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
+                     rhs=RhsSpec(ShiftedPolynomial(0.0, (0.1, -0.2)), kappa=0.25, shape="sin"))
 cos2 = lambda s: np.cos(2.0 * s)
 times = [0.05, 0.3, 1.0, 1.4, 2.7, 3.0]
 
@@ -85,9 +93,21 @@ def picard(divisor):
     return trace.values, report["deltas"], report["weights"]
 
 
-def oracle(step):
-    trace = gl_solve(sin, OracleConfig(step))
-    return trace.values, residual_check(trace, sin).residuals
+def oracle(step, spec=sin):
+    trace = gl_solve(spec, OracleConfig(step))
+    return trace.values, residual_check(trace, spec).residuals
+
+
+def scalars(f, points):
+    # text: the repr of each value, which round-trips it bit for bit, or the
+    # name of the error where a point raises
+    out = []
+    for args in points:
+        try:
+            out.append(repr(f(*args)))
+        except Exception as exc:
+            out.append(type(exc).__name__)
+    return " ".join(out).encode()
 
 
 def shuffled(points):
@@ -113,6 +133,7 @@ for d in (8, 128, 1024, 2048):
     jobs[f"linear_solution h/{d}"] = lambda d=d: linear_solution(linear, solver_grid(linear, d)).values
 for k in (9, 13):
     jobs[f"gl_solve, residual_check 2^-{k}"] = lambda k=k: oracle(2.0**-k)
+jobs["gl_solve, residual_check 2^-11, rhs poly"] = lambda: oracle(2.0**-11, forced)
 jobs["perturbed_solve lhs, rhs_bound h/4"] = uh
 jobs["forced_at single times"] = lambda: [forced_at(sin, cos2, t, KernelCache(sin)) for t in times]
 jobs["homogeneous_at single times"] = lambda: [homogeneous_at(sin, t, KernelCache(sin)) for t in times]
@@ -122,11 +143,31 @@ jobs["delayed_ml_gen_many h/128 table offsets, shuffled"] = lambda: delayed_ml_g
 jobs["weight_ml h/128 nodes, shuffled"] = lambda: weight_ml(
     1.6, choose_omega(sin, 0.25), shuffled(np.arange(3 * 128 + 1) / 128)
 )
+jobs["mittag_leffler scalars"] = lambda: scalars(mittag_leffler, [
+    (1.2, 1.6, -0.5), (1.2, 1.6, 3.0), (0.5, 1.0, -2.0), (1.0, 1.0, 1.0),
+    (1.6, 0.4, -7.5), (2.0, 1.0, -4.0), (1.3, 0.7, -60.0),
+])
+jobs["delayed_ml_gen scalars"] = lambda: scalars(delayed_ml_gen, [
+    (1.0, 1.2, 1.6, 1.6, -0.5, 0.3, t) for t in (-0.5, 0.0, 0.05, 1.0, 1.4, 2.7, 3.0)
+] + [
+    (1.0, 1.2, 0.6, 1.6, -0.5, 0.3, 2.0), (1.0, 1.2, 1.0, 1.6, 0.5, -0.3, 2.0),
+    (1.0, 1.2, 0.6, 1.6, -0.5, 0.3, 0.0), (1.0, 1.2, 1.0, 1.6, 0.5, -0.3, 0.0),
+    (0.5, 1.2, 1.6, 1.6, 0.5, -0.3, 1.7), (1.0, 1.2, 1.6, 1.6, -0.5, 0.0, 2.7),
+])
+jobs["g_function scalars"] = lambda: scalars(g_function, [
+    (1.6, 0.4, -0.5, 0.3, t) for t in (0.1, 1.0, 2.5)
+] + [(1.9, 0.5, 0.7, -0.4, 1.3), (1.5, 0.2, 0.0, 0.0, 2.0)])
+jobs["wright_series scalars"] = lambda: scalars(wright_series, [
+    (WrightSpec(((1.0, 1.0),), ((1.0, 1.2),)), z) for z in (-2.0, 0.0, 0.5, 3.0)
+] + [(WrightSpec((), ((-1.0, 1.0), (0.5, 0.5))), -1.5)])
 
 out = {}
 for name, job in jobs.items():
     try:
         value = job()
+        if isinstance(value, bytes):
+            out[name] = value
+            continue
         parts = value if isinstance(value, tuple) else (value,)
         out[name] = np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts])
     except Exception as exc:

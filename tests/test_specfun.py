@@ -5,6 +5,7 @@ significant digits (see the inline comments next to each constant) and are
 frozen here so the suite runs without mpmath installed.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from fracdelay.errors import (
     ValidationError,
 )
 from fracdelay.specfun import (
+    _EXP_SNAP,
     DEFAULT_CONTROL,
     SeriesControl,
     WrightSpec,
@@ -33,6 +35,8 @@ from fracdelay.specfun import (
     recip_gamma,
     weight_ml,
     wright_series,
+    _row_terms,
+    _sum_terms,
 )
 
 TIGHT = SeriesControl(abs_tol=1e-16, rel_tol=1e-14, max_terms=20000, consecutive_small=5)
@@ -836,3 +840,97 @@ def test_series_ignores_point_order(b, ts, data):
     want = delayed_ml_gen_many(1.0, 1.2, b, 1.6, -0.5, 0.3, ts)[perm]
     got = delayed_ml_gen_many(1.0, 1.2, b, 1.6, -0.5, 0.3, ts[perm])
     assert got.tobytes() == want.tobytes()
+
+
+def test_row_membership_at_the_snapped_boundaries():
+    # a point just below 0, within the snap of floor(t/h), is in no row:
+    # 0 at b = 1, not row 0's unit knot
+    h = 0.5
+    t = np.array([-0.5 * _EXP_SNAP * h, 0.0, 0.25])
+    got = delayed_ml_gen_many(h, 1.2, 1.0, 1.6, -0.5, 0.3, t)
+    assert got[0] == 0.0 and got[1] == 1.0 and 0.0 < got[2] < 1.0
+    assert delayed_ml_gen(h, 1.2, 1.0, 1.6, -0.5, 0.3, float(t[0])) == 0.0
+    # k gamma + b - 1 < 0 for k <= 2, so the knot of row k is a signed
+    # infinity, (-1)^k for mu < 0: kh (1 - 5e-13) is snapped into row k and
+    # is its knot, as kh is, while kh (1 - 2e-12) is below row k
+    for k in (1, 2):
+        knot = k * h
+        t = np.array([knot * (1 - 2e-12), knot * (1 - 5e-13), knot])
+        got = delayed_ml_gen_many(h, 1.2, 0.5, 0.2, -0.5, -0.3, t)
+        assert math.isfinite(got[0])
+        assert got[1] == got[2] == (-1.0) ** k * math.inf
+
+
+def test_rows_past_the_first_search_chunk():
+    # the rows' bounds are searched 16 rows at a time, then 32, ...: with
+    # lam = 0 each row is its one term mu^k (t-kh)^{k gamma+b-1}/Gamma(k gamma+b),
+    # so points up to row 66, knots at the chunk edges included, match the
+    # finite sum; gamma = 0.2 keeps every row's terms above the stop
+    # threshold, even half a step past its knot
+    h, b, gamma, mu = 0.05, 1.6, 0.2, 1.0
+    ks = np.array([1, 15, 16, 17, 47, 48, 49, 66])
+    ts = np.concatenate((ks * h, (ks + 0.5) * h))
+    got = delayed_ml_gen_many(h, 1.2, b, gamma, 0.0, mu, ts)
+    for t, value in zip(ts, got):
+        want = math.fsum(
+            mu**k * (t - k * h) ** (k * gamma + b - 1.0) / math.gamma(k * gamma + b)
+            for k in range(math.floor(t / h + _EXP_SNAP) + 1)
+        )
+        assert value == pytest.approx(want, rel=1e-13)
+
+
+def _reference_row(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
+    """Row k's terms (e, coef, sign), term n = sign * exp(coef + e log base),
+    as far as ``_sum_terms`` takes them, or the error it raises."""
+    made = []
+
+    def terms():
+        log_lam = math.log(abs(lam)) if lam != 0.0 else 0.0
+        k_log = (k * math.log(abs(mu)) if k else 0.0) - math.lgamma(k + 1.0)
+        for n in itertools.count():
+            e = k * gamma + n * a + b - 1.0
+            coef = (
+                n * log_lam + k_log + math.lgamma(n + k + 1.0) - math.lgamma(n + 1.0)
+                - math.lgamma(e + 1.0)
+            )
+            sign = (-1.0 if mu < 0 and k % 2 else 1.0) * (-1.0 if lam < 0 and n % 2 else 1.0)
+            made.append((e, coef, sign))
+            yield sign, coef + e * log_base
+            if lam == 0.0:
+                return
+
+    try:
+        _sum_terms(terms(), ctrl, partial, where=f"series row k={k}")
+    except (OverflowError, SeriesConvergenceError) as exc:
+        return type(exc), str(exc)
+    return np.array(made).tobytes()
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    k=st.integers(min_value=0, max_value=7),
+    a=st.floats(min_value=0.5, max_value=2.0),
+    b=st.floats(min_value=0.1, max_value=3.0),
+    gamma=st.floats(min_value=0.1, max_value=2.0),
+    lam=st.one_of(st.just(0.0), st.floats(-8.0, -1e-3), st.floats(1e-3, 8.0)),
+    mu=st.one_of(st.floats(-2.0, -1e-3), st.floats(1e-3, 2.0)),
+    log_base=st.floats(min_value=-30.0, max_value=8.0),
+    partial=st.one_of(st.just(0.0), st.floats(-3.0, 3.0), st.floats(-1e6, 1e6)),
+    ctrl=st.sampled_from([
+        DEFAULT_CONTROL,
+        TIGHT,
+        SeriesControl(abs_tol=1e-4, rel_tol=1e-6, consecutive_small=1),
+        SeriesControl(abs_tol=1e-8, rel_tol=1e-3, consecutive_small=2),
+        SeriesControl(max_terms=12, consecutive_small=2),
+    ]),
+)
+def test_row_terms_stop_where_sum_terms_stops(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
+    # the series rows make and stop-test each term in one loop; _sum_terms,
+    # the rule of g_function and wright_series, must take the same terms
+    # and raise the same errors (term overflow, max_terms)
+    want = _reference_row(k, a, b, gamma, lam, mu, log_base, partial, ctrl)
+    try:
+        got = np.column_stack(_row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl)).tobytes()
+    except (OverflowError, SeriesConvergenceError) as exc:
+        got = type(exc), str(exc)
+    assert got == want
