@@ -25,17 +25,21 @@ one matrix product per block; above, it is fraccalc._toeplitz's blocked
 FFT product of the table.  The cache also holds each step's cell nodes and
 each solver grid's facts (m, the rule's nodes, the sweep of the positive
 ones), so a grid is checked and its sweep found once per cache: a cold
-reference Picard solve takes about 1.0-1.1 ms at h/8 and 3.5-3.7 ms at
-h/128 in-process on a 2-vCPU guest.  The
-homogeneous term up to its part over [0, t], history included, is a sum of
-delayed ML functions, from I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.
-Pascal's rule C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the
-delay recursion
+reference Picard solve takes about 0.64-0.67 ms at h/8 and 2.8-3.0 ms at
+h/128 in-process on a 2-vCPU guest (best of 40 and 15 solves, eight
+processes).  The homogeneous term up to its part over [0, t], history
+included, is a sum of delayed ML functions, from
+I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.  Pascal's rule
+C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the delay recursion
 
     E_{a,b}(u) - lam E_{a,a+b}(u) = u^{b-1}/Gamma(b) + mu E_{a,b+alpha}(u-h),
 
-which turns each history monomial's pair of series into the monomial and
-one series at t, none for mu = 0 (_series_terms).
+which turns each history monomial c_m (t+h)^m's pair of series into the
+monomial and mu c_m m! E_{a,m+1+alpha}(t).  By the same rule that is
+integral_0^t K1(t - s) mu c_m s^m ds, so the sweep over [0, t] that the
+homogeneous term makes anyway takes it, with mu p(s - h) added to its
+source (_series_terms): with c1 = c2 = 0 a solve sums two series, the
+kernel table and the Bielecki weights (KernelCache.weights).
 """
 
 from __future__ import annotations
@@ -280,7 +284,9 @@ class KernelCache:
     the positive ones and their sweep.  A grid is thus checked once per
     cache, and a sweep over its held positive nodes skips the detection
     (``convolve_kernel``) and, for a problem of the grid's horizon, the
-    range checks of ``forced_at`` and ``homogeneous_at``.  Held nodes are
+    range checks of ``forced_at`` and ``homogeneous_at``.  ``weights``
+    keeps the Bielecki weights per grid, l and omega, so the two solves of
+    ``perturbed_solve`` sum them once.  Held nodes and weights are
     read-only, so a source that writes into its argument raises instead of
     altering a later sweep.
     The cache carries the series control of every series a solve sums.
@@ -297,6 +303,7 @@ class KernelCache:
         self._cells: dict[float, np.ndarray] = {}
         # (grid, l): l is keyed, as the grid rule reads the horizon
         self._grids: dict[tuple[UniformGrid, int], _HeldGrid] = {}
+        self._weights: dict[tuple[UniformGrid, int, float], np.ndarray] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
         args = _kernel_params(self.spec, kernel)
@@ -342,6 +349,20 @@ class KernelCache:
             nodes.flags.writeable = False
             positive = nodes[m + 1 :]
             self._grids[key] = held = _HeldGrid(m, nodes, positive, _sweep_step(spec, positive))
+        return held
+
+    def weights(self, spec: ProblemSpec, grid: UniformGrid, omega: float) -> np.ndarray:
+        """The Bielecki weights E_{alpha,1}(omega t^alpha) at the solved nodes
+        of a solver grid (index m on, node m at t = 0 exactly), read-only;
+        summed once per (grid, l, omega), so solves that share the cache
+        and the weight share them."""
+        key = (grid, spec.l, omega)
+        held = self._weights.get(key)
+        if held is None:
+            g = self.grid(spec, grid)
+            held = weight_ml(spec.alpha, omega, np.maximum(g.nodes[g.m :], 0.0), self.ctrl)
+            held.flags.writeable = False
+            self._weights[key] = held
         return held
 
     def held_positive(self, ts: np.ndarray, l: int | None = None) -> _HeldGrid | None:
@@ -419,10 +440,10 @@ def _history_source(spec: ProblemSpec, s):
     )
 
 
-def _series_terms(spec: ProblemSpec) -> tuple[ShiftedPolynomial, list[tuple[float, float, float]]]:
-    """The homogeneous term up to its part over [0, t], as p(t) plus the sum of
-    coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t + shift): the polynomial p and
-    the nonzero (b, coef, shift), shift 0 or h.
+def _series_terms(spec: ProblemSpec) -> tuple[ShiftedPolynomial, list[tuple[float, float]]]:
+    """The homogeneous term but its part over [0, t], as p(t) plus the sum of
+    coef * E^{h,alpha}_{alpha-beta,b}(lam, mu; t + h) plus the integral over
+    [0, t] of K1(t - s) mu p(s - h): the polynomial p and the nonzero (b, coef).
 
     First integral_{-h}^{t} K1(t - s) g(s) ds: the term c_m (s+h)^m of phi
     gives g the powers (s+h)^{m-alpha} and (s+h)^{m-beta}; with
@@ -434,18 +455,19 @@ def _series_terms(spec: ProblemSpec) -> tuple[ShiftedPolynomial, list[tuple[floa
         E_{a,b}(u) - lam E_{a,a+b}(u) = u^{b-1}/Gamma(b) + mu E_{a,b+alpha}(u-h),
 
     so the pair is c_m (t+h)^m, a term of p, plus c_m m! mu E_{a,m+1+alpha}(t),
-    0 for t <= 0 and absent for mu = 0.  Where 1/Gamma(m+1-alpha) = 0
-    (alpha = 2, m <= 1) D^alpha phi has no such power and only
-    -lam c_m m! E_{a,a+m+1}(t+h) is left.  Then c1 and c2, at t+h.
+    which by the same rule is integral_0^t K1(t - s) mu c_m s^m ds, a
+    convolution with the kernel table that the solve sweeps anyway.  Where
+    1/Gamma(m+1-alpha) = 0 (alpha = 2, m <= 1) D^alpha phi has no such
+    power and only -lam c_m m! E_{a,a+m+1}(t+h) is left.  Then c1 and c2.
     """
-    a, h = spec.alpha - spec.beta, spec.h
+    a = spec.alpha - spec.beta
     paired = [0.0] * len(spec.phi.coeffs)
     terms = []
     for m, c in enumerate(spec.phi.coeffs):
         if c == 0.0:
             continue
         if recip_gamma(m + 1.0 - spec.alpha) == 0.0:
-            terms.append((a + m + 1.0, -spec.lam * c * gamma_fn(m + 1.0), h))
+            terms.append((a + m + 1.0, -spec.lam * c * gamma_fn(m + 1.0)))
             continue
         if m - spec.alpha <= -1.0:
             raise ValidationError(
@@ -453,20 +475,9 @@ def _series_terms(spec: ProblemSpec) -> tuple[ShiftedPolynomial, list[tuple[floa
                 "the representation needs a history without it"
             )
         paired[m] = c
-        terms.append((m + 1.0 + spec.alpha, spec.mu * c * gamma_fn(m + 1.0), 0.0))
-    terms += [(spec.alpha, spec.c1, h), (spec.alpha - 1.0, spec.c2, h)]
+    terms += [(spec.alpha, spec.c1), (spec.alpha - 1.0, spec.c2)]
     poly = ShiftedPolynomial(spec.phi.base, tuple(paired))
-    return poly, [(b, coef, shift) for b, coef, shift in terms if coef != 0.0]
-
-
-def _series_part(spec: ProblemSpec, ts: np.ndarray, ctrl: SeriesControl) -> np.ndarray:
-    """The terms of ``_series_terms`` summed at the times ``ts``."""
-    poly, terms = _series_terms(spec)
-    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
-    val = np.zeros(ts.shape) + poly(ts)
-    for b, coef, shift in terms:
-        val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, np.maximum(ts + shift, 0.0), ctrl)
-    return val
+    return poly, [(b, coef) for b, coef in terms if coef != 0.0]
 
 
 def _sample(source: Callable, s: np.ndarray) -> np.ndarray:
@@ -543,9 +554,11 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
 
     with K1/K2 the main/companion kernels and g = _history_source.  The upper limit
     min(t, 0) reflects that g is built from phi, which lives on [-h, 0]: the
-    integral is taken in closed form up to t, less its part over [0, t].
-    ``t`` is one time (float result) or an array of times (see
-    ``convolve_kernel`` for the arrays that are swept together).
+    integral is taken in closed form up to t (``_series_terms``), less its
+    part over [0, t]; that part and the closed form's integral of
+    K1(t - s) mu p(s - h) over [0, t] are one sweep.  ``t`` is one time
+    (float result) or an array of times (see ``convolve_kernel`` for the
+    arrays that are swept together).
     """
     ts = np.asarray(t, dtype=float)
     cache = _cache_for(spec, cache)
@@ -554,8 +567,14 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
         (ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))
     ):
         raise ValidationError("homogeneous_at requires t in [-h, T]")
-    val = _series_part(spec, ts, cache.ctrl)
-    val -= convolve_kernel(spec, lambda s: _history_source(spec, s), ts, cache)
+    poly, terms = _series_terms(spec)
+    h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
+    val = np.zeros(ts.shape) + poly(ts)
+    for b, coef in terms:
+        u = np.maximum(ts + h, 0.0)
+        val += coef * delayed_ml_gen_many(h, a, b, gamma, lam, mu, u, cache.ctrl)
+    delayed = ShiftedPolynomial(0.0, tuple(mu * c for c in poly.coeffs))  # mu p(s - h)
+    val -= convolve_kernel(spec, lambda s: _history_source(spec, s) - delayed(s), ts, cache)
     return float(val) if val.ndim == 0 else val
 
 
@@ -681,8 +700,9 @@ def picard_solve(
     visible absolute error there.  Returns the last iterate and the solve's
     one record, a report {tol, iterations, final_delta, q, omega, deltas,
     deltas_sup, weights}, the last being the weights at the solved nodes
-    (index m = h/step on), evaluated once per solve, that every delta passes
-    to ``weighted_norm``.  An iterate that turns non-finite (a delta of inf
+    (index m = h/step on), held read-only by the cache
+    (``KernelCache.weights``), that every delta passes to
+    ``weighted_norm``.  An iterate that turns non-finite (a delta of inf
     or NaN) stops the solve with a ConvergenceError naming the iteration.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -705,8 +725,7 @@ def picard_solve(
     elif np.shape(base) != (grid.count,):
         raise ValidationError("base must hold one value per grid node")
     y = SolutionTrace(grid, base)
-    # the solved nodes are those from index m on, node m at t = 0 exactly
-    weights = weight_ml(spec.alpha, omega, np.maximum(held.nodes[m:], 0.0), cache.ctrl)
+    weights = cache.weights(spec, grid, omega)
     threshold = tol * (1.0 - q) / q if q > 0 else math.inf
     deltas: list[float] = []
     deltas_sup: list[float] = []

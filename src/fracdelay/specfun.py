@@ -19,12 +19,13 @@ ascending order, which the solvers' points already are, so delay row k,
 the points t >= kh, is a suffix, and its largest base is its last point;
 the result does not depend on the order of the points.  A row is one
 scalar loop that makes its terms and stop-tests each (``_row_terms``),
-then about 15 numpy calls over its points.  The engine's three calls in
-a cold h/8 reference Picard solve (the kernel table, the history series,
-the weights) take 0.30-0.36 ms of the solve's 0.66-0.79 ms, and 0.80-0.84
-ms of its 2.6-3.0 ms at h/128 (the best of 40 and 15 solves in each of
-eight processes, 2-vCPU guest).  Double series stop over rows by the
-threshold test applied to each row's largest term.
+then about 15 numpy calls over its points.  The engine's two calls in a
+cold h/8 reference Picard solve (the kernel table and the weights; the
+history's series are sweeps of the table) take 0.25-0.26 ms of the
+solve's 0.64-0.67 ms, and 0.69-0.73 ms of its 2.8-3.0 ms at h/128 (the
+best of 40 and 15 solves in each of eight processes, 2-vCPU guest).
+Double series stop over rows by the threshold test applied to each row's
+largest term.
 """
 
 from __future__ import annotations
@@ -377,7 +378,7 @@ def delayed_ml_piecewise(
     return total
 
 
-def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
+def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl, log_fact=None):
     """Exponents e, log-coefficients and signs of the terms of delay row k.
 
     Term n is sign * exp(coef + e * log(base)).  The term count is the stop
@@ -385,11 +386,16 @@ def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
     where the row's terms are largest, on the signed partial sum
     ``partial`` that the earlier rows left there.  One loop makes each term
     and tests it, with no generator or ``threshold`` call per term, as the
-    rows are the engine's hot path.
+    rows are the engine's hot path.  ``log_fact`` lists log j! =
+    lgamma(j + 1.0) for j = 0, 1, ...; the rows of one series share it, and
+    it is extended here as far as the row reads.
     """
     lgamma, exp, isfinite = math.lgamma, math.exp, math.isfinite
+    log_fact = [] if log_fact is None else log_fact
+    while len(log_fact) <= k:
+        log_fact.append(lgamma(len(log_fact) + 1.0))
     log_lam = math.log(abs(lam)) if lam != 0.0 else 0.0
-    k_log = (k * math.log(abs(mu)) if k else 0.0) - lgamma(k + 1.0)
+    k_log = (k * math.log(abs(mu)) if k else 0.0) - log_fact[k]
     k_sign = -1.0 if (mu < 0 and k % 2) else 1.0
     flip = lam < 0
     abs_tol, rel_tol, needed = ctrl.abs_tol, ctrl.rel_tol, ctrl.consecutive_small
@@ -397,8 +403,10 @@ def _row_terms(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
     quiet = 0
     last = math.inf
     for n in range(ctrl.max_terms):
+        if n + k == len(log_fact):
+            log_fact.append(lgamma(n + k + 1.0))
         e = k * gamma + n * a + b - 1.0
-        coef = n * log_lam + k_log + lgamma(n + k + 1.0) - lgamma(n + 1.0) - lgamma(e + 1.0)
+        coef = n * log_lam + k_log + log_fact[n + k] - log_fact[n] - lgamma(e + 1.0)
         sign = -k_sign if (flip and n % 2) else k_sign
         es.append(e)
         coefs.append(coef)
@@ -441,6 +449,19 @@ def _row_bounds(t, last_row, h, rows):
         size *= 2
 
 
+def _knot_term(k, b, gamma, mu):
+    """Delay row k at a knot, base t - kh = 0: its leading term's limit, 0 for
+    e = k gamma + b - 1 > 0, mu^k / Gamma(e + 1) for e = 0 and a signed
+    infinity for e < 0 (each within _EXP_SNAP)."""
+    e0 = k * gamma + b - 1.0
+    if e0 > _EXP_SNAP:
+        return 0.0
+    sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
+    if e0 < -_EXP_SNAP:
+        return sign0 * math.inf
+    return sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
+
+
 def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     """E^{h,gamma}_{a,b}(lam, mu; t) at every t of ``ts`` (any shape).
 
@@ -454,10 +475,12 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     sets at its last point, where its base t - kh is largest.  At a knot,
     base t - kh <= 0 (the suffix's leading points), the 0^e rule applies to
     the row's leading term (the others have e >= e_0 + a): 0 if e > 0, the
-    coefficient if e = 0, a signed infinity if e < 0.  The sum over rows
-    stops after ``consecutive_small`` rows that are negligible at every
-    point; a row after which too few rows are left for that skips the
-    test.  A sum whose terms cancel raises
+    coefficient if e = 0, a signed infinity if e < 0 (``_knot_term``).  The
+    sum over rows stops after ``consecutive_small`` rows that are
+    negligible at every point; a row after which too few rows are left for
+    that skips the test.  The rows after the stop still give their knots
+    the knot terms of e <= 0.  The rows share one list of log j!.  A sum
+    whose terms cancel raises
     :class:`CancellationError` where 2^-52 * sum |term| / max(1, |sum|),
     over the terms of the regular points, exceeds CANCELLATION_LIMIT.
     """
@@ -476,23 +499,18 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     # rows past max_terms are never reached: row max_terms raises
     rows = min(int(last_row.max(initial=-1.0)) + 1, 1 if mu == 0.0 else ctrl.max_terms + 1)
     quiet_rows = 0
-    for k, (lo, end) in enumerate(_row_bounds(t, last_row, h, rows)):
+    log_fact: list[float] = []  # log j!, shared by the rows of this call
+    bounds = _row_bounds(t, last_row, h, rows)
+    for k, (lo, end) in enumerate(bounds):
         if k >= ctrl.max_terms:
             raise SeriesConvergenceError(f"delay sum did not converge in {ctrl.max_terms} rows")
         if end > lo:
-            e0 = k * gamma + b - 1.0
-            sign0 = -1.0 if (mu < 0 and k % 2) else 1.0
-            if e0 < -_EXP_SNAP:
-                knot = sign0 * math.inf
-            elif e0 <= _EXP_SNAP:
-                knot = sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
-            else:
-                knot = 0.0
+            knot = _knot_term(k, b, gamma, mu)
             acc[lo:end] += knot
         if end < t.size:
             logb = np.log(t[end:] - k * h)
             es, coefs, signs = _row_terms(
-                k, a, b, gamma, lam, mu, float(logb[-1]), float(acc[-1]), ctrl
+                k, a, b, gamma, lam, mu, float(logb[-1]), float(acc[-1]), ctrl, log_fact
             )
             terms = es[:, None] * logb
             terms += coefs[:, None]
@@ -516,6 +534,13 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
         ):
             quiet_rows += 1
             if quiet_rows >= ctrl.consecutive_small:
+                # the later rows are negligible but at their knots, where a
+                # leading exponent k gamma + b - 1 <= 0 (rising with k) is
+                # infinite or 0^0
+                for k, (lo, end) in enumerate(bounds, k + 1):
+                    if k * gamma + b - 1.0 > _EXP_SNAP:
+                        break
+                    acc[lo:end] += _knot_term(k, b, gamma, mu)
                 break
         else:
             quiet_rows = 0

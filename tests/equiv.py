@@ -6,7 +6,8 @@ unpacks ``git archive REV`` into a temporary directory and computes the same
 list of outputs under that tree's ``src/`` and under this checkout's, each
 in its own Python process, on the README reference problem (alpha 1.6,
 beta 0.4, lambda -0.5, mu 0.3, h 1, l 3, phi (t+1)^2, f 0.25 sin y) and its
-linear twin (f = 0):
+linear twin (f = 0), and on both with the cubic history
+phi = (t+1)^2 + 0.03 (t+1)^3 of the benchmark's problem pool:
 
 * ``picard_solve`` values, ``deltas`` and ``weights`` at h/8, h/128, h/1024
   (3072 cells, the largest sweeps below the FFT switch) and h/2048;
@@ -84,12 +85,15 @@ sin = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0
 linear = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)))
 forced = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0)),
                      rhs=RhsSpec(ShiftedPolynomial(0.0, (0.1, -0.2)), kappa=0.25, shape="sin"))
+cubic = ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0, 0.03))
+sin_cubic = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, cubic, rhs=RhsSpec(kappa=0.25, shape="sin"))
+linear_cubic = ProblemSpec(1.6, 0.4, -0.5, 0.3, 1.0, 3, cubic)
 cos2 = lambda s: np.cos(2.0 * s)
 times = [0.05, 0.3, 1.0, 1.4, 2.7, 3.0]
 
 
-def picard(divisor):
-    trace, report = picard_solve(sin, solver_grid(sin, divisor))
+def picard(divisor, spec=sin):
+    trace, report = picard_solve(spec, solver_grid(spec, divisor))
     return trace.values, report["deltas"], report["weights"]
 
 
@@ -131,6 +135,10 @@ jobs = {}
 for d in (8, 128, 1024, 2048):
     jobs[f"picard h/{d}"] = lambda d=d: picard(d)
     jobs[f"linear_solution h/{d}"] = lambda d=d: linear_solution(linear, solver_grid(linear, d)).values
+    jobs[f"picard h/{d}, cubic history"] = lambda d=d: picard(d, sin_cubic)
+    jobs[f"linear_solution h/{d}, cubic history"] = lambda d=d: linear_solution(
+        linear_cubic, solver_grid(linear_cubic, d)
+    ).values
 for k in (9, 13):
     jobs[f"gl_solve, residual_check 2^-{k}"] = lambda k=k: oracle(2.0**-k)
 jobs["gl_solve, residual_check 2^-11, rhs poly"] = lambda: oracle(2.0**-11, forced)

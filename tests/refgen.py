@@ -18,15 +18,20 @@ E^{h,gamma}_{a,b}(lam, mu; t) agree:
 Every parameter is converted with mp.mpf(x), its exact binary value, before
 any arithmetic: a gamma argument such as 1.2*n + 1.6 formed in double
 precision gives wrong values in the cancelling cases.  The series part of
-the homogeneous term (repsolver._series_terms) is summed as the
-representation states it, before the delay recursion pairs its terms:
+the homogeneous term, all of it but the integral of K1(t - s) g(s) over
+[0, t], is summed as the representation states it, before the delay
+recursion pairs its terms:
 
     sum_m c_m m! [E_{a,m+1} - lam E_{a,a+m+1}](t+h)
         + c1 E_{a,alpha}(t+h) + c2 E_{a,alpha-1}(t+h),
 
 a = alpha - beta, gamma = alpha, with E_{a,m+1} left out where
 1/Gamma(m+1-alpha) = 0.  The pairs cancel for lam << 0, which the working
-precision absorbs.  A row whose base
+precision absorbs.  The tests compare it with ``closed_series`` of
+test_repsolver.py, the same sum after the delay recursion, in double
+precision: the polynomial and series of repsolver._series_terms plus each
+paired monomial's mu c_m m! E_{a,m+1+alpha}(t), which the solver itself
+takes as a sweep of the kernel table.  A row whose base
 t - kh is 0 (a knot) is the limit of its n = 0 term, 0, 1 or a signed
 infinity, on both routes, and a row with t - kh < 0 is 0.
 

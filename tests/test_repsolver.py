@@ -14,9 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fracdelay import repsolver
+from fracdelay import repsolver, specfun
 from fracdelay.errors import (
+    CancellationError,
     ConvergenceError,
     IterationLimitError,
     NonContractionError,
@@ -452,6 +455,27 @@ def test_homogeneous_uses_data_terms():
     assert homogeneous_at(spec, t) == pytest.approx(expected, rel=1e-12)
 
 
+def closed_series(spec, t):
+    """The homogeneous term but the integral of K1(t - s) g(s) over [0, t],
+    in closed form, from ``_series_terms``: p(t), each coef E_{a,b}(t+h),
+    and for each paired history monomial c_m (t+h)^m, mu c_m m!
+    E_{a,m+1+alpha}(t), which the solver takes as a sweep of the kernel
+    table instead; every series by the public delayed_ml_gen_many."""
+    poly, terms = repsolver._series_terms(spec)
+
+    def series(b, u):
+        return delayed_ml_gen_many(spec.h, spec.alpha - spec.beta, b, spec.alpha, spec.lam,
+                                   spec.mu, np.asarray(u))
+
+    val = poly(t)
+    for m, c in enumerate(poly.coeffs):
+        if c:
+            val += spec.mu * c * math.factorial(m) * series(m + 1.0 + spec.alpha, t)
+    for b, coef in terms:
+        val += coef * series(b, max(t + spec.h, 0.0))
+    return val
+
+
 # The series part of the homogeneous term (all of it but the integral over
 # [0, t]) at t, by both routes of tests/refgen.py, which sum it as the
 # representation states it, each history monomial as the cancelling pair
@@ -469,30 +493,32 @@ EVERY_TERM_SERIES = {
 def test_homogeneous_with_every_series_term_frozen():
     # every series term nonzero: history terms, c1, c2 and lam != 0 together
     spec = make_spec(phi=ShiftedPolynomial(-1.0, (0.0, 0.7, 1.0, -0.2)), c1=0.4, c2=-0.3)
+    # the paired history monomials' delayed series are a sweep of the kernel
+    # table; the h/256 solution reads 3.130797160787468 at t = 2 (3.6e-13
+    # from the value here) and 3.5187456891903857 at t = 3 (5.4e-15)
     frozen = {
         -0.55: 0.5501925197642769,
         0.0: 1.7701427941089571,
         0.3: 2.226561474395476,
-        1.37: 2.883211687716353,
-        2.0: 3.1307971607870244,
-        3.0: 3.5187456891901654,
+        1.37: 2.8832116877163756,
+        2.0: 3.1307971607871075,
+        3.0: 3.5187456891903803,
     }
     for t, value in frozen.items():
         assert homogeneous_at(spec, t) == pytest.approx(value, rel=1e-15, abs=0.0)
         # measured: at most 2.2e-16 from exact (1.1e-15 before the delay recursion)
-        series = repsolver._series_part(spec, np.asarray(t), SeriesControl())
-        assert series == pytest.approx(EVERY_TERM_SERIES[t], rel=1e-15, abs=0.0)
+        assert closed_series(spec, t) == pytest.approx(EVERY_TERM_SERIES[t], rel=1e-15, abs=0.0)
     values = linear_solution(spec, solver_grid(spec, divisor=16)).values
     expected = [
         0.0,
         0.575,
         1.5,
         2.4167645273664617,
-        2.720691902461395,
-        2.9360520496941773,
-        3.1307971607874205,
-        3.322235013894301,
-        3.518745689190361,
+        2.7206919024613954,
+        2.9360520496941795,
+        3.1307971607874285,
+        3.322235013894317,
+        3.5187456891903843,
     ]
     assert values[::8] == pytest.approx(expected, rel=1e-15, abs=0.0)
 
@@ -514,9 +540,58 @@ HISTORY_SERIES = [
 @pytest.mark.parametrize("lam, t, exact, rel", HISTORY_SERIES)
 def test_history_series_at_negative_lam(lam, t, exact, rel):
     spec = make_spec(lam=lam)
-    assert repsolver._series_part(spec, np.asarray(t), SeriesControl()) == pytest.approx(
-        exact, rel=rel, abs=0.0
+    assert closed_series(spec, t) == pytest.approx(exact, rel=rel, abs=0.0)
+
+
+# |swept - series| / max(1, |series|) over the h/32 nodes: 3.4e-9 at worst
+# in 3000 examples of the test below (none where only the series cancels),
+# 2.6e-8 at the worst of its 320 corners (alpha = 2, lam = -5, mu = -1.5,
+# h = 2, l = 4, m = 0), where kernel and series values may each carry the
+# 1e-8 that the cancellation guard lets through; 7e-10 at worst for
+# lam > -2 (alpha near 1: the rule at the kernel's kinks), median 1e-14
+SWEPT_HISTORY_BOUND = 1e-7
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    alpha=st.floats(1.05, 2.0),
+    beta_share=st.floats(0.0, 1.0),
+    lam=st.floats(-20.0, 3.0),
+    mu=st.floats(-1.5, 1.5).filter(lambda x: x != 0.0),
+    h=st.floats(0.25, 2.0),
+    l=st.integers(1, 4),
+    m=st.integers(0, 3),
+)
+def test_swept_history_monomial_is_its_delayed_series(alpha, beta_share, lam, mu, h, l, m):
+    # a paired history monomial's series mu c_m m! E_{a,m+1+alpha}(t) is,
+    # by I^nu E_{a,b} = E_{a,b+nu}, the sweep of mu c_m s^m with the kernel
+    # table, which homogeneous_at takes in its place
+    beta = 0.01 + beta_share * (min(0.99, alpha - 1.01) - 0.01)
+    spec = make_spec(
+        alpha=alpha, beta=beta, lam=lam, mu=mu, h=h, l=l, phi=ShiftedPolynomial(-h, ())
     )
+    cache = KernelCache(spec)
+    ts = cache.grid(spec, solver_grid(spec, 32)).positive
+    try:
+        swept = forced_at(spec, lambda s: mu * s**m, ts, cache)
+    except CancellationError:
+        return  # loud: the table's own guard
+    a, b = alpha - beta, m + 1.0 + alpha
+    series = mu * math.factorial(m) * delayed_ml_gen_many(h, a, b, alpha, lam, mu, ts)
+    assert np.all(np.abs(swept - series) <= SWEPT_HISTORY_BOUND * np.maximum(1.0, np.abs(series)))
+
+
+def test_cold_solve_sums_two_series(monkeypatch):
+    # with c1 = c2 = 0 and a paired history the solve sums the kernel table
+    # and the Bielecki weights, and no history series
+    calls = []
+    series = specfun._delayed_series
+    monkeypatch.setattr(specfun, "_delayed_series", lambda *a: calls.append(a[2]) or series(*a))
+    spec = make_spec(phi=ShiftedPolynomial(-1.0, (0.0, 0.0, 1.0, 0.03)),
+                     rhs=RhsSpec(kappa=0.25, shape="sin"))
+    picard_solve(spec, solver_grid(spec, 8))
+    # b = alpha for the table, b = 1 for the weights
+    assert calls == [spec.alpha, 1.0]
 
 
 def test_forced_trivial(spec6):
@@ -1219,6 +1294,24 @@ def test_weights_evaluated_once_per_solve(small_sin_spec, monkeypatch):
     assert np.array_equal(np.asarray(calls[0][2]), nodes[nodes >= 0.0])
     # the report carries them for callers that take norms in the same weight
     assert np.array_equal(report["weights"], original(*calls[0]))
+
+
+def test_weights_held_per_grid_and_omega(small_sin_spec):
+    # solves that share a cache, a grid and omega read one read-only array;
+    # another omega or grid gets its own, each weight_ml's values to the bit
+    cache = KernelCache(small_sin_spec)
+    grid = solver_grid(small_sin_spec, divisor=8)
+    _, first = picard_solve(small_sin_spec, grid, cache=cache)
+    _, again = picard_solve(small_sin_spec, grid, cache=cache)
+    assert again["weights"] is first["weights"]
+    assert not first["weights"].flags.writeable
+    omega = 2.0 * first["omega"]
+    _, other = picard_solve(small_sin_spec, grid, omega=omega, cache=cache)
+    nodes = grid.nodes()
+    want = weight_ml(small_sin_spec.alpha, omega, np.maximum(nodes[nodes >= 0.0], 0.0))
+    assert other["weights"].tobytes() == want.tobytes()
+    coarse = solver_grid(small_sin_spec, divisor=4)
+    assert cache.weights(small_sin_spec, coarse, omega).size == coarse.count - 4
 
 
 def test_solved_nodes_are_found_by_index():

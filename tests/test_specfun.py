@@ -879,6 +879,29 @@ def test_rows_past_the_first_search_chunk():
         assert value == pytest.approx(want, rel=1e-13)
 
 
+def test_infinite_knot_past_the_row_stop():
+    # gamma = 0.01 and b = 0.5 keep k gamma + b - 1 < 0 up to row 49, so the
+    # knot kh of each such row is the signed infinity (-1)^k (mu < 0), also
+    # a knot past the rows where the quiet ones stop the sum (row 31 at 3.1)
+    params = (0.1, 1.2, 0.5, 0.01, 0.5, -0.3)
+    for t in (0.1, 1.7, 3.1):
+        assert delayed_ml_gen(*params, t) == -math.inf
+    got = delayed_ml_gen_many(*params, np.array([3.05, 0.1, 3.1, 1.6, 1.7]))
+    assert got[0] == pytest.approx(delayed_ml_gen(*params, 3.05), rel=1e-13)
+    assert got[1:].tolist() == [-math.inf, -math.inf, math.inf, -math.inf]
+
+
+def test_rows_share_one_list_of_log_factorials():
+    # the rows of one series read log j! from one list, which each row
+    # extends as far as it reads; the terms are those of a fresh list
+    shared = []
+    for k in range(6):
+        args = (k, 1.2, 1.6, 1.6, -0.5, 0.3, math.log(2.5), 0.0, DEFAULT_CONTROL)
+        got = np.column_stack(_row_terms(*args, shared)).tobytes()
+        assert got == np.column_stack(_row_terms(*args)).tobytes()
+    assert shared == [math.lgamma(j + 1.0) for j in range(len(shared))]
+
+
 def _reference_row(k, a, b, gamma, lam, mu, log_base, partial, ctrl):
     """Row k's terms (e, coef, sign), term n = sign * exp(coef + e log base),
     as far as ``_sum_terms`` takes them, or the error it raises."""

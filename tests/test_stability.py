@@ -258,7 +258,8 @@ def test_perturbed_solve_forwards_picard_options():
 
 
 def test_perturbed_solve_evaluates_weights_once_per_solve(monkeypatch):
-    # lhs is taken in the weights the perturbed solve already evaluated
+    # lhs is taken in the weights the perturbed solve already evaluated, and
+    # the exact solve reads the same weights from the shared kernel cache
     spec = make_spec()
     grid = solver_grid(spec, divisor=8)
     pert = PerturbationSpec(0.01, lambda t: np.cos(2.0 * t))
@@ -268,7 +269,8 @@ def test_perturbed_solve_evaluates_weights_once_per_solve(monkeypatch):
         repsolver, "weight_ml", lambda *a, **k: calls.append(1) or weight_ml(*a, **k)
     )
     result = perturbed_solve(spec, pert, grid)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert result.y_report["weights"] is result.x_report["weights"]
     monkeypatch.undo()
     ts = grid.nodes()
     weights = repsolver.weight_ml(spec.alpha, result.x_report["omega"], ts[ts >= 0])
