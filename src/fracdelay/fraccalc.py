@@ -108,7 +108,7 @@ def rl_derivative_power(a: float, nu: float, order: float, t):
         raise ValidationError("rl_derivative_power requires nu > -1")
     if order < 0:
         raise ValidationError("rl_derivative_power requires order >= 0")
-    if np.any(np.asarray(t) <= a):
+    if (np.asarray(t) <= a).any():
         raise ValidationError("rl_derivative_power requires t > a")
     coef = gamma_fn(nu + 1.0) * recip_gamma(nu - order + 1.0)
     if coef == 0.0:
@@ -166,8 +166,9 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """First n values of sum_q w[:, q] * x[:, q] (convolutions) for column
     stacks of shape (n, c): a sum of lower-triangular Toeplitz products.
 
-    Up to 2L rows, L = ``_GL_BLOCK``, these are direct convolutions, with no
-    transform.  Above, each weight window of lag 0 .. blocks-1 gets one
+    Up to 2L rows, L = ``_GL_BLOCK``, one column (``gl_derivative``'s; no
+    caller passes more there) is one direct convolution, with no transform.
+    Otherwise each weight window of lag 0 .. blocks-1 gets one
     size-2L rfft per column, held for the product in place of the weights.
     Then, in turn, sample block b (L rows) is transformed onto a newest-first
     list, and output block b sums the products of block c <= b with the
@@ -175,8 +176,8 @@ def _toeplitz(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985).
     """
     n, cols = x.shape
-    if n <= 2 * _GL_BLOCK:
-        return sum(np.convolve(x[:, q], w[:, q])[:n] for q in range(cols))
+    if n <= 2 * _GL_BLOCK and cols == 1:
+        return np.convolve(x[:, 0], w[:, 0])[:n]
     windows = [_window_spectrum(w, lag) for lag in range(-(-n // _GL_BLOCK))]
     del w
     spectra: list[np.ndarray] = []

@@ -22,13 +22,14 @@ the 16 weight columns with the source at the cell nodes.  Up to 2L cells
 (L = fraccalc._GL_BLOCK) the cache also holds that product's operator,
 cut into lag blocks of LAG_BLOCK rows (KernelCache.blocks), so a sweep is
 one matrix product per block; above, it is fraccalc._toeplitz's blocked
-FFT product of the table.  The cache also holds each step's cell nodes and
-each solver grid's facts (m, the rule's nodes, the sweep of the positive
-ones), so a grid is checked and its sweep found once per cache: a cold
-reference Picard solve takes about 0.64-0.67 ms at h/8 and 2.8-3.0 ms at
-h/128 in-process on a 2-vCPU guest (best of 40 and 15 solves, eight
-processes).  The homogeneous term up to its part over [0, t], history
-included, is a sum of delayed ML functions, from
+FFT product of the table.  The cache also holds each sweep's plan (its
+cell nodes and blocks, KernelCache.plan) and each solver grid's facts (m,
+the rule's nodes, the sweep of the positive ones), so a grid is checked
+and its sweep found once per cache, and a sweep makes one lookup: the
+reference Picard solve with a new cache takes about 0.56-0.61 ms at h/8
+and 2.8-3.1 ms at h/128 in-process on a 2-vCPU guest at full speed (best
+of 40 and 15 solves, eight processes).  The homogeneous term up to its part over
+[0, t], history included, is a sum of delayed ML functions, from
 I^nu E^{h,alpha}_{a,b} = E^{h,alpha}_{a,b+nu}.  Pascal's rule
 C(n+k,k) - C(n+k-1,k) = C(n+k-1,k-1), row by row, gives the delay recursion
 
@@ -278,8 +279,9 @@ class KernelCache:
     shares the cache on the same grid step, reads one table.  ``blocks``
     keeps, beside a table, the lag blocks of its Toeplitz operator for
     sweeps of up to 2L cells, LAG_BLOCK (32) times the table's memory, and
-    ``cell_nodes`` the cells' rule nodes, where every sweep samples its
-    source.  ``grid`` keeps, per solver grid and horizon l, what
+    ``plan``, per step and cell count, what a sweep reads: the cells' rule
+    nodes, where it samples its source, and the blocks or the table.
+    ``grid`` keeps, per solver grid and horizon l, what
     ``_check_solver_grid`` and ``_sweep_step`` derive: m, the rule's nodes,
     the positive ones and their sweep.  A grid is thus checked once per
     cache, and a sweep over its held positive nodes skips the detection
@@ -300,9 +302,12 @@ class KernelCache:
         self._tables: dict[float, np.ndarray] = {}
         # step -> (cells, their lag blocks)
         self._blocks: dict[float, tuple[int, np.ndarray]] = {}
-        self._cells: dict[float, np.ndarray] = {}
+        # (step, cells) -> (cell nodes, lag blocks or table): what _sweep reads
+        self._plans: dict[tuple[float, int], tuple[np.ndarray, np.ndarray]] = {}
         # (grid, l): l is keyed, as the grid rule reads the horizon
         self._grids: dict[tuple[UniformGrid, int], _HeldGrid] = {}
+        # id of a held grid's positive nodes -> (l, the held grid)
+        self._positive: dict[int, tuple[int, _HeldGrid]] = {}
         self._weights: dict[tuple[UniformGrid, int, float], np.ndarray] = {}
 
     def fetch_many(self, kernel: str, us) -> np.ndarray:
@@ -313,8 +318,10 @@ class KernelCache:
         """Product-rule weights, per unit cell width, on lags 0..cells-1 of width ``step``."""
         rows = self._tables.get(step)
         if rows is None or len(rows) < cells:
-            self._tables[step] = rows = _rule(self, np.arange(cells) * step, np.full(cells, step))[1]
+            lo = np.arange(cells) * step
+            self._tables[step] = rows = _rule(self, lo, np.zeros(cells) + step)[1]
             self._blocks.pop(step, None)
+            self._plans.clear()
         return rows[:cells]
 
     def blocks(self, step: float, cells: int) -> np.ndarray:
@@ -325,19 +332,24 @@ class KernelCache:
         held = self._blocks.get(step)
         if held is None or held[0] < cells:
             self._blocks[step] = held = (cells, _lag_blocks(self.table(step, cells)))
+            self._plans.clear()
         return held[1][: -(-cells // LAG_BLOCK)]
 
-    def cell_nodes(self, step: float, cells: int) -> np.ndarray:
-        """Rule nodes of the cells [j, j+1]*step, j < cells, one row per cell,
-        read-only; like the blocks, those held for N cells serve up to N."""
-        held = self._cells.get(step)
-        if held is None or len(held) < cells:
+    def plan(self, step: float, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """What a sweep over the cells [j, j+1]*step, j < cells, reads
+        (``_sweep``): their rule nodes, one read-only row per cell, and up to
+        2L cells the lag blocks (``blocks``), above, the table.  Held per
+        (step, cells), so the sweeps of a solve make one lookup, until a
+        table or its blocks are rebuilt."""
+        held = self._plans.get((step, cells))
+        if held is None:
+            rows = self.table(step, cells) if cells > 2 * _GL_BLOCK else self.blocks(step, cells)
             # cell j holds its rule nodes at s = (j + 1 - x) * step, at kernel
             # offset (d + x) * step from node j + 1 + d
-            held = (np.arange(1, cells + 1)[:, None] - _CELL_X) * step
-            held.flags.writeable = False
-            self._cells[step] = held
-        return held[:cells]
+            nodes = (np.arange(1, cells + 1)[:, None] - _CELL_X) * step
+            nodes.flags.writeable = False
+            self._plans[step, cells] = held = (nodes, rows)
+        return held
 
     def grid(self, spec: ProblemSpec, grid: UniformGrid) -> _HeldGrid:
         """The facts of a solver grid for ``spec``, checked by the grid rule
@@ -349,6 +361,8 @@ class KernelCache:
             nodes.flags.writeable = False
             positive = nodes[m + 1 :]
             self._grids[key] = held = _HeldGrid(m, nodes, positive, _sweep_step(spec, positive))
+            # the held grid keeps positive alive, so no other array has its id
+            self._positive[id(positive)] = (spec.l, held)
         return held
 
     def weights(self, spec: ProblemSpec, grid: UniformGrid, omega: float) -> np.ndarray:
@@ -368,10 +382,8 @@ class KernelCache:
     def held_positive(self, ts: np.ndarray, l: int | None = None) -> _HeldGrid | None:
         """The held grid whose positive-node array is ``ts`` itself, held
         for horizon ``l`` when one is given, else None."""
-        for (_, held_l), held in self._grids.items():
-            if held.positive is ts and l in (None, held_l):
-                return held
-        return None
+        held_l, held = self._positive.get(id(ts), (None, None))
+        return held if l in (None, held_l) else None
 
 
 def _lag_blocks(rows: np.ndarray) -> np.ndarray:
@@ -397,6 +409,10 @@ def _block_product(blocks: np.ndarray, x: np.ndarray) -> np.ndarray:
     whole blocks and sample block k one row of X, output block k is
     sum_d X[k - d] @ blocks[d].T, one matrix product per lag d."""
     n, cols = x.shape
+    if n <= LAG_BLOCK:
+        # block 0's columns of the n sample rows; all its B output rows, as
+        # BLAS sums a product with fewer rows in another order
+        return (blocks[0][:, : n * cols] @ x.ravel())[:n]
     count = -(-n // LAG_BLOCK)
     X = np.zeros((count * LAG_BLOCK, cols))
     X[:n] = x
@@ -493,7 +509,7 @@ def _sweep_step(spec: ProblemSpec, ts: np.ndarray) -> tuple[float, int] | None:
     if ts.size < 2 or not ts[-1] > ts[0]:
         return None
     step = spec.h / max(1, round(spec.h * (ts.size - 1) / (ts[-1] - ts[0])))
-    gaps = np.diff(ts)
+    gaps = ts[1:] - ts[:-1]
     first = _whole_steps(ts[0], step) or 0
     if first < 1 or not _whole_steps(gaps.min(), step) == _whole_steps(gaps.max(), step) == 1:
         return None
@@ -505,12 +521,9 @@ def _sweep(cache: KernelCache, source: Callable, step: float, first: int, n: int
     the held lag blocks' product up to 2L cells, L = ``_GL_BLOCK``, with no
     transform; above, ``_toeplitz``'s blocked FFT product of the table."""
     cells = first + n - 1
-    nodes = cache.cell_nodes(step, cells)
-    if cells > 2 * _GL_BLOCK:
-        total = _toeplitz(cache.table(step, cells), _sample(source, nodes))
-    else:
-        total = _block_product(cache.blocks(step, cells), _sample(source, nodes))
-    return step * total[first - 1 :]
+    nodes, rows = cache.plan(step, cells)
+    product = _toeplitz if cells > 2 * _GL_BLOCK else _block_product
+    return step * product(rows, _sample(source, nodes))[first - 1 :]
 
 
 def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache | None = None):
@@ -529,7 +542,7 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
     held = cache.held_positive(ts)
     if held is not None and held.sweep is not None:
         return _sweep(cache, source, *held.sweep, ts.size)
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise ValidationError("convolve_kernel requires finite t")
     out = np.zeros(ts.shape)
     pos = ts > 0.0
@@ -541,9 +554,10 @@ def convolve_kernel(spec: ProblemSpec, source: Callable, t, cache: KernelCache |
         step = spec.h / POINT_DIVISOR
         for i, x in zip(np.flatnonzero(pos), tp):
             edges = np.minimum(np.arange(math.ceil(x / step) + 1) * step, x)
-            edges = edges[: np.searchsorted(edges, x) + 1]
-            us, ws = _rule(cache, edges[:-1], np.diff(edges))
-            out.flat[i] = np.vdot(np.diff(edges)[:, None] * ws, _sample(source, x - us))
+            edges = edges[: edges.searchsorted(x) + 1]
+            width = edges[1:] - edges[:-1]
+            us, ws = _rule(cache, edges[:-1], width)
+            out.flat[i] = np.vdot(width[:, None] * ws, _sample(source, x - us))
     return float(out) if out.ndim == 0 else out
 
 
@@ -563,9 +577,9 @@ def homogeneous_at(spec: ProblemSpec, t, cache: KernelCache | None = None):
     ts = np.asarray(t, dtype=float)
     cache = _cache_for(spec, cache)
     # the positive nodes of a grid held for this horizon lie in (0, T]
-    if cache.held_positive(ts, spec.l) is None and not np.all(
+    if cache.held_positive(ts, spec.l) is None and not (
         (ts >= -spec.h - 1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))
-    ):
+    ).all():
         raise ValidationError("homogeneous_at requires t in [-h, T]")
     poly, terms = _series_terms(spec)
     h, a, _, gamma, lam, mu = _kernel_params(spec, "main")
@@ -586,9 +600,9 @@ def forced_at(spec: ProblemSpec, forcing: Callable, t, cache: KernelCache | None
     """
     ts = np.asarray(t, dtype=float)
     cache = _cache_for(spec, cache)
-    if cache.held_positive(ts, spec.l) is None and not np.all(
+    if cache.held_positive(ts, spec.l) is None and not (
         (ts >= -1e-12 * spec.T) & (ts <= spec.T * (1.0 + 1e-12))
-    ):
+    ).all():
         raise ValidationError("forced_at requires t in [0, T]")
     return convolve_kernel(spec, forcing, ts, cache)
 
@@ -636,10 +650,10 @@ def apply_F(
     held = cache.grid(spec, y.grid)
     if base is None:
         base = _base(spec, y.grid, cache)
-    rhs, nodes = spec.rhs, held.nodes
+    kappa, shape, nodes, ys = spec.rhs.kappa, spec.rhs.shape_of, held.nodes, y.values
 
     def forcing(s: np.ndarray) -> np.ndarray:
-        return rhs.kappa * rhs.shape_of(np.interp(s, nodes, y.values))
+        return kappa * shape(np.interp(s, nodes, ys))
 
     values = np.array(base, dtype=float)
     if values.shape != (y.grid.count,):
@@ -652,9 +666,10 @@ def weighted_norm(values: np.ndarray, weights: np.ndarray) -> float:
     """||y||_omega = max |y| / weights over the solved nodes (index m = h/step
     on): ``values`` are y there and ``weights`` the Bielecki weights
     E_{alpha,1}(omega t^alpha) that ``picard_solve`` computes once per solve."""
-    if np.shape(weights) != np.shape(values):
+    values, weights = np.asarray(values, dtype=float), np.asarray(weights)
+    if weights.shape != values.shape:
         raise ValidationError("weights must hold one value per node t >= 0")
-    return float(np.max(np.abs(np.asarray(values, dtype=float)) / weights, initial=0.0))
+    return float((abs(values) / weights).max(initial=0.0))
 
 
 def _growth(spec: ProblemSpec) -> float:
@@ -722,7 +737,7 @@ def picard_solve(
     m = held.m
     if base is None:
         base = _base(spec, grid, cache)
-    elif np.shape(base) != (grid.count,):
+    elif np.asarray(base).shape != (grid.count,):
         raise ValidationError("base must hold one value per grid node")
     y = SolutionTrace(grid, base)
     weights = cache.weights(spec, grid, omega)
@@ -738,7 +753,7 @@ def picard_solve(
                 f"picard_solve iterate turned non-finite at iteration {iteration} (delta {delta})"
             )
         deltas.append(delta)
-        deltas_sup.append(float(np.max(np.abs(diff))))
+        deltas_sup.append(float(abs(diff).max()))
         y = y_next
         if delta <= threshold and deltas_sup[-1] <= tol:
             return y, {

@@ -19,11 +19,12 @@ ascending order, which the solvers' points already are, so delay row k,
 the points t >= kh, is a suffix, and its largest base is its last point;
 the result does not depend on the order of the points.  A row is one
 scalar loop that makes its terms and stop-tests each (``_row_terms``),
-then about 15 numpy calls over its points.  The engine's two calls in a
-cold h/8 reference Picard solve (the kernel table and the weights; the
-history's series are sweeps of the table) take 0.25-0.26 ms of the
-solve's 0.64-0.67 ms, and 0.69-0.73 ms of its 2.8-3.0 ms at h/128 (the
-best of 40 and 15 solves in each of eight processes, 2-vCPU guest).
+then about 15 numpy calls over its points.  The engine's two calls in an
+h/8 reference Picard solve with a new kernel cache (the kernel table and
+the weights; the history's series are sweeps of the table) take
+0.23-0.25 ms of the solve's 0.56-0.61 ms, and 0.69-0.78 ms of its
+2.8-3.1 ms at h/128 (the best of 40 and 15 solves in each of eight
+processes, 2-vCPU guest at full speed).
 Double series stop over rows by the threshold test applied to each row's
 largest term.
 """
@@ -188,7 +189,7 @@ def weight_ml(alpha: float, omega: float, t, ctrl: SeriesControl | None = None):
     delayed one with mu = 0, b = 1 and lam = omega.
     """
     ts = np.asarray(t, dtype=float)
-    if not np.all((ts >= 0) & (ts < math.inf)):
+    if not ((ts >= 0) & (ts < math.inf)).all():
         raise ValidationError("weight_ml requires finite t >= 0")
     if not (math.isfinite(omega) and omega > 0):
         raise ValidationError("weight_ml requires a finite omega > 0")
@@ -442,8 +443,8 @@ def _row_bounds(t, last_row, h, rows):
     first, size = 0, 16
     while first < rows:
         ks = np.arange(first, min(rows, first + size))
-        starts = np.searchsorted(last_row, ks)
-        ends = np.maximum(starts, np.searchsorted(t, ks * h, side="right"))
+        starts = last_row.searchsorted(ks)
+        ends = np.maximum(starts, t.searchsorted(ks * h, side="right"))
         yield from zip(starts.tolist(), ends.tolist())
         first += size
         size *= 2
@@ -462,6 +463,8 @@ def _knot_term(k, b, gamma, mu):
     return sign0 * math.exp((k * math.log(abs(mu)) if k else 0.0) - math.lgamma(e0 + 1.0))
 
 
+# exp and the row sums overflow to inf, which the row check reports
+@np.errstate(over="ignore")
 def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
     """E^{h,gamma}_{a,b}(lam, mu; t) at every t of ``ts`` (any shape).
 
@@ -514,13 +517,12 @@ def _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl):
             )
             terms = es[:, None] * logb
             terms += coefs[:, None]
-            with np.errstate(over="ignore"):
-                np.exp(terms, out=terms)
-                row = signs @ terms
-                abs_acc[end:] += terms.sum(axis=0)
-            if not np.isfinite(row).all():
+            np.exp(terms, out=terms)
+            abs_acc[end:] += terms.sum(axis=0)
+            acc[end:] += signs @ terms
+            # finite before the row: no earlier row has a knot here
+            if not np.isfinite(acc[end:]).all():
                 raise OverflowError(f"series row k={k} sum overflow")
-            acc[end:] += row
         if quiet_rows + rows - 1 - k < ctrl.consecutive_small:
             # too few rows are left for the quiet ones to stop the sum early
             continue
@@ -601,6 +603,6 @@ def delayed_ml_gen_many(
         raise ValidationError("delayed_ml_gen requires finite h, a, b, gamma > 0")
     if not (math.isfinite(lam) and math.isfinite(mu)):
         raise ValidationError("delayed_ml_gen requires finite lam and mu")
-    if not np.all(np.isfinite(ts)):
+    if not np.isfinite(ts).all():
         raise ValidationError("delayed_ml_gen requires finite t")
     return _delayed_series(h, a, b, gamma, lam, mu, ts, ctrl)

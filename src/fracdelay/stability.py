@@ -52,7 +52,7 @@ class PerturbationSpec:
     def __call__(self, t):
         """epsilon * g_shape(t); a validation error where |g_shape(t)| > 1."""
         g = self.g_shape(t)
-        if not np.all(np.abs(g) <= 1.0 + 1e-12):
+        if not (np.abs(g) <= 1.0 + 1e-12).all():
             raise ValidationError("g_shape must satisfy sup |g_shape| <= 1 on [0, T]")
         return self.epsilon * g
 

@@ -769,6 +769,13 @@ def test_weighted_norm_ignores_history_nodes():
     assert got < 2.0  # the t=-0.5 spike does not count
 
 
+def test_weighted_norm_accepts_lists():
+    assert weighted_norm([1.0, -3.0, 0.5], [1.0, 2.0, 4.0]) == 1.5
+    assert weighted_norm([], []) == 0.0
+    with pytest.raises(ValidationError, match="one value per node t >= 0"):
+        weighted_norm([1.0, 2.0], [1.0])
+
+
 @pytest.mark.parametrize("shape", [(0,), (3,), (5,), (4, 1)])
 def test_weighted_norm_rejects_mismatched_weights(shape):
     # four nodes t >= 0 need four weights, one each; (4, 1) would broadcast
@@ -1124,6 +1131,47 @@ def test_blocks_held_for_fewer_cells_are_rebuilt_for_a_longer_sweep(spec6):
     assert repsolver._sweep(held, source, step, 1, 30).tobytes() == (
         repsolver._sweep(fresh, source, step, 1, 30).tobytes()
     )
+
+
+def test_sweep_plan_built_once_per_cache_and_step(monkeypatch):
+    # every sweep looks its plan up once, and all of them get the same one
+    plans = []
+    plan = KernelCache.plan
+    monkeypatch.setattr(KernelCache, "plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+    spec = make_spec(rhs=RhsSpec(kappa=0.25, shape="sin"))
+    grid = solver_grid(spec, divisor=8)
+    assert picard_solve(spec, grid)[1]["iterations"] == 7
+    assert len(plans) == 8 and all(p is plans[0] for p in plans)
+    plans.clear()
+    perturbed_solve(spec, PerturbationSpec(1e-2, lambda s: np.cos(2.0 * s)), grid, KernelCache(spec))
+    assert len(plans) >= 2 + 2 * 7 and all(p is plans[0] for p in plans)
+
+
+def test_sweep_plan_rebuilt_when_its_table_regrows(spec6):
+    # a table regrown for more cells is a new series sum, so the plan for
+    # fewer cells must read its blocks, not those of the table it replaced
+    step = spec6.h / 8
+    cache = KernelCache(spec6)
+    first = cache.plan(step, 24)
+    assert cache.plan(step, 24) is first
+    cache.table(step, 40)
+    again = cache.plan(step, 24)
+    assert again is not first
+    assert np.array_equal(again[0], first[0])
+    assert again[1].tobytes() == repsolver._lag_blocks(cache.table(step, 24)).tobytes()
+    assert cache.plan(step, 24) is again
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 31, 32])
+def test_one_block_product_matches_the_padded_product_bitwise(n):
+    # up to one block of samples the product skips the zero padding of x
+    rng = np.random.default_rng(n)
+    rows, x = rng.standard_normal((n, 16)), rng.standard_normal((n, 16))
+    blocks = repsolver._lag_blocks(rows)
+    padded = np.zeros((repsolver.LAG_BLOCK, 16))
+    padded[:n] = x
+    want = (padded.reshape(1, -1) @ blocks[0].T).ravel()[:n]
+    assert repsolver._block_product(blocks, x).tobytes() == want.tobytes()
 
 
 def test_grid_checked_and_sweep_detected_once_per_cache_and_grid(monkeypatch):
